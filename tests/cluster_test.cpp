@@ -7,6 +7,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cluster/fabric.hpp"
 #include "cluster/makespan.hpp"
@@ -593,6 +596,218 @@ TEST(MakespanTest, ResolvesEightNodeDedupGreedyInversion) {
   EXPECT_LT(rr, greedy) << "inversion precondition: greedy loses to RR";
   EXPECT_LT(makespan, greedy);
   EXPECT_LE(makespan, rr * kEstimatorLowerSlack);
+}
+
+// ---- golden pins ------------------------------------------------------
+
+// Multi-node runs of both apps under every placer, pinned bit for bit:
+// modeled seconds as hexfloats, kernel launches, the mandel image checksum
+// (0 for dedup) and the fabric and shard byte counts. A change to any
+// cluster schedule fails here with the replacement row in the message.
+struct ClusterPin {
+  const char* name;
+  double modeled_seconds;
+  std::uint64_t kernel_launches;
+  std::uint64_t checksum;
+  std::uint64_t fabric_bytes;
+  std::uint64_t shard_bytes;
+};
+
+constexpr ClusterPin kClusterPins[] = {
+    {"spar-cpu n2 rr", 0x1.8b0b161b90ce5p-4, 0,
+     0x0ull, 533200, 4840},
+    {"spar-cpu n2 greedy", 0x1.951b178f67066p-5, 0,
+     0x0ull, 4240, 4240},
+    {"spar-cpu n2 makespan", 0x1.951b178f67066p-5, 0,
+     0x0ull, 4240, 4240},
+    {"spar-cpu n4 rr", 0x1.cb081f4ec8e79p-5, 0,
+     0x0ull, 648663, 6920},
+    {"spar-cpu n4 greedy", 0x1.9535ef8201c32p-5, 0,
+     0x0ull, 6640, 6640},
+    {"spar-cpu n4 makespan", 0x1.9535ef8201c32p-5, 0,
+     0x0ull, 6640, 6640},
+    {"spar+cuda n2 rr", 0x1.2ebc38b6447c7p-9, 16,
+     0x0ull, 533200, 4840},
+    {"spar+cuda m2 n2 rr", 0x1.2ebc38b6447c7p-9, 16,
+     0x0ull, 533200, 4840},
+    {"spar+cuda n2 greedy", 0x1.55235f7db39a5p-10, 16,
+     0x0ull, 4240, 4240},
+    {"spar+cuda m2 n2 greedy", 0x1.55235f7db39a5p-10, 16,
+     0x0ull, 4240, 4240},
+    {"spar+cuda n2 makespan", 0x1.55235f7db39a5p-10, 16,
+     0x0ull, 4240, 4240},
+    {"spar+cuda m2 n2 makespan", 0x1.55235f7db39a5p-10, 16,
+     0x0ull, 4240, 4240},
+    {"spar+cuda n4 rr", 0x1.a3e93bf7178e7p-10, 16,
+     0x0ull, 648663, 6920},
+    {"spar+cuda m2 n4 rr", 0x1.a3e93bf7178e7p-10, 16,
+     0x0ull, 648663, 6920},
+    {"spar+cuda n4 greedy", 0x1.5abcd17f2dc3p-10, 16,
+     0x0ull, 6640, 6640},
+    {"spar+cuda m2 n4 greedy", 0x1.5abcd17f2dc3p-10, 16,
+     0x0ull, 6640, 6640},
+    {"spar+cuda n4 makespan", 0x1.5abcd17f2dc3p-10, 16,
+     0x0ull, 6640, 6640},
+    {"spar+cuda m2 n4 makespan", 0x1.5abcd17f2dc3p-10, 16,
+     0x0ull, 6640, 6640},
+    {"spar+opencl n2 rr", 0x1.31183388de11ep-9, 16,
+     0x0ull, 533200, 4840},
+    {"spar+opencl m2 n2 rr", 0x1.31183388de11ep-9, 16,
+     0x0ull, 533200, 4840},
+    {"spar+opencl n2 greedy", 0x1.5848adebd5b6ep-10, 16,
+     0x0ull, 4240, 4240},
+    {"spar+opencl m2 n2 greedy", 0x1.5848adebd5b6ep-10, 16,
+     0x0ull, 4240, 4240},
+    {"spar+opencl n2 makespan", 0x1.5848adebd5b6ep-10, 16,
+     0x0ull, 4240, 4240},
+    {"spar+opencl m2 n2 makespan", 0x1.5848adebd5b6ep-10, 16,
+     0x0ull, 4240, 4240},
+    {"spar+opencl n4 rr", 0x1.a70e8a6539ab1p-10, 16,
+     0x0ull, 648663, 6920},
+    {"spar+opencl m2 n4 rr", 0x1.a70e8a6539ab1p-10, 16,
+     0x0ull, 648663, 6920},
+    {"spar+opencl n4 greedy", 0x1.5de21fed4fdfap-10, 16,
+     0x0ull, 6640, 6640},
+    {"spar+opencl m2 n4 greedy", 0x1.5de21fed4fdfap-10, 16,
+     0x0ull, 6640, 6640},
+    {"spar+opencl n4 makespan", 0x1.5de21fed4fdfap-10, 16,
+     0x0ull, 6640, 6640},
+    {"spar+opencl m2 n4 makespan", 0x1.5de21fed4fdfap-10, 16,
+     0x0ull, 6640, 6640},
+    {"mandel cuda n2 rr", 0x1.1c445d32d92eap-13, 8,
+     0x34c8d3ec131a5d9bull, 2304, 0},
+    {"mandel cuda n2 greedy", 0x1.ca72b6eb0ef33p-14, 8,
+     0x34c8d3ec131a5d9bull, 0, 0},
+    {"mandel cuda n2 makespan", 0x1.ca72b6eb0ef33p-14, 8,
+     0x34c8d3ec131a5d9bull, 0, 0},
+    {"mandel cuda n4 rr", 0x1.00e745bbd5526p-13, 8,
+     0x34c8d3ec131a5d9bull, 3456, 0},
+    {"mandel cuda n4 greedy", 0x1.ca72b6eb0ef33p-14, 8,
+     0x34c8d3ec131a5d9bull, 0, 0},
+    {"mandel cuda n4 makespan", 0x1.ca72b6eb0ef33p-14, 8,
+     0x34c8d3ec131a5d9bull, 0, 0},
+    {"mandel opencl n2 rr", 0x1.24a7d90334257p-13, 8,
+     0x34c8d3ec131a5d9bull, 2304, 0},
+    {"mandel opencl n2 greedy", 0x1.d2d632bb69e9fp-14, 8,
+     0x34c8d3ec131a5d9bull, 0, 0},
+    {"mandel opencl n2 makespan", 0x1.d2d632bb69e9fp-14, 8,
+     0x34c8d3ec131a5d9bull, 0, 0},
+    {"mandel opencl n4 rr", 0x1.094ac18c30493p-13, 8,
+     0x34c8d3ec131a5d9bull, 3456, 0},
+    {"mandel opencl n4 greedy", 0x1.d2d632bb69e9fp-14, 8,
+     0x34c8d3ec131a5d9bull, 0, 0},
+    {"mandel opencl n4 makespan", 0x1.d2d632bb69e9fp-14, 8,
+     0x34c8d3ec131a5d9bull, 0, 0},
+};
+
+/// Placements under test: every placer on `graph` over `topo`.
+std::vector<std::pair<std::string, Placement>> every_placer(
+    const StageGraph& graph, const Topology& topo) {
+  return {{"rr", place_round_robin(graph, topo)},
+          {"greedy", place_greedy(graph, topo)},
+          {"makespan", place_makespan(graph, topo)}};
+}
+
+TEST(ClusterGoldenTest, EveryPlacedRunMatchesItsPin) {
+  struct Row {
+    std::string name;
+    double modeled_seconds;
+    std::uint64_t kernel_launches;
+    std::uint64_t checksum;
+    std::uint64_t fabric_bytes;
+    std::uint64_t shard_bytes;
+  };
+  std::vector<Row> rows;
+
+  dedup::Fig5Config dcfg;
+  const dedup::DedupTrace trace = small_trace(dcfg);
+  dedup::Fig5Config dcfg2 = dcfg;
+  dcfg2.mem_spaces = 2;
+  const std::pair<const char*, dedup::Fig5Config> dconfigs[] = {
+      {"", dcfg}, {" m2", dcfg2}};
+  for (auto backend : {dedup::Fig5Backend::kSparCpu,
+                       dedup::Fig5Backend::kSparCuda,
+                       dedup::Fig5Backend::kSparOcl}) {
+    const bool gpu = backend != dedup::Fig5Backend::kSparCpu;
+    StageGraph g = dedup_stage_graph(trace, dcfg.replicas, gpu);
+    ClusterRunOptions one;
+    one.topo = full_mesh(1, 2, dcfg.device_spec, 1e9, 1e-6);
+    one.profile = &g;
+    (void)run_fig5_cluster(trace, dcfg, backend, one);
+    for (int nodes : {2, 4}) {
+      const Topology topo = full_mesh(nodes, 2, dcfg.device_spec, 1e9, 1e-6);
+      for (const auto& [pname, placement] : every_placer(g, topo)) {
+        for (const auto& [suffix, cfg] : dconfigs) {
+          if (!gpu && *suffix != '\0') continue;
+          ClusterRunOptions opts;
+          opts.topo = topo;
+          opts.placement = placement;
+          const auto r = run_fig5_cluster(trace, cfg, backend, opts);
+          rows.push_back({std::string(dedup::fig5_backend_name(backend)) +
+                              suffix + " n" + std::to_string(nodes) + " " +
+                              pname,
+                          r.modeled_seconds, r.kernel_launches, 0,
+                          r.fabric_bytes, r.shard_bytes});
+        }
+      }
+    }
+  }
+
+  kernels::MandelParams p;
+  p.dim = 64;
+  p.niter = 500;
+  const mandel::IterationMap map = mandel::IterationMap::compute(p);
+  mandel::ModeledConfig mcfg;
+  mcfg.batch_lines = 8;
+  mcfg.devices = 2;
+  mcfg.combined_workers = 4;
+  StageGraph mg = mandel_stage_graph(p.dim, mcfg.batch_lines,
+                                     mcfg.combined_workers, true);
+  {
+    ClusterRunOptions one;
+    one.topo = full_mesh(1, 2, mcfg.device_spec, 1e9, 1e-6);
+    one.profile = &mg;
+    (void)run_mandel_combined_cluster(map, mcfg, mandel::GpuApi::kCuda, one);
+  }
+  for (auto api : {mandel::GpuApi::kCuda, mandel::GpuApi::kOpenCl}) {
+    for (int nodes : {2, 4}) {
+      const Topology topo = full_mesh(nodes, 2, mcfg.device_spec, 1e9, 1e-6);
+      for (const auto& [pname, placement] : every_placer(mg, topo)) {
+        ClusterRunOptions opts;
+        opts.topo = topo;
+        opts.placement = placement;
+        const auto r = run_mandel_combined_cluster(map, mcfg, api, opts);
+        rows.push_back({"mandel " + std::string(mandel::gpu_api_name(api)) +
+                            " n" + std::to_string(nodes) + " " + pname,
+                        r.modeled_seconds, r.kernel_launches, r.checksum,
+                        r.fabric_bytes, r.shard_bytes});
+      }
+    }
+  }
+
+  EXPECT_EQ(rows.size(), std::size(kClusterPins));
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Row& r = rows[i];
+    char text[256];
+    std::snprintf(text, sizeof text,
+                  "    {\"%s\", %a, %llu,\n     0x%llxull, %llu, %llu},",
+                  r.name.c_str(), r.modeled_seconds,
+                  static_cast<unsigned long long>(r.kernel_launches),
+                  static_cast<unsigned long long>(r.checksum),
+                  static_cast<unsigned long long>(r.fabric_bytes),
+                  static_cast<unsigned long long>(r.shard_bytes));
+    if (i >= std::size(kClusterPins)) {
+      ADD_FAILURE() << "unpinned run:\n" << text;
+      continue;
+    }
+    const ClusterPin& pin = kClusterPins[i];
+    EXPECT_EQ(r.name, pin.name) << text;
+    EXPECT_EQ(r.modeled_seconds, pin.modeled_seconds) << text;
+    EXPECT_EQ(r.kernel_launches, pin.kernel_launches) << text;
+    EXPECT_EQ(r.checksum, pin.checksum) << text;
+    EXPECT_EQ(r.fabric_bytes, pin.fabric_bytes) << text;
+    EXPECT_EQ(r.shard_bytes, pin.shard_bytes) << text;
+  }
 }
 
 }  // namespace

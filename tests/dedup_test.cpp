@@ -3,6 +3,10 @@
 // end-to-end roundtrips on all three corpora, and Fig. 5 model shape.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "cudax/cudax.hpp"
 #include "datagen/corpus.hpp"
@@ -548,6 +552,178 @@ TEST_F(Fig5ModelTest, LabelsDescribeVariants) {
   c.batched_kernel = false;
   auto r2 = run_fig5(*trace_, c, Fig5Backend::kCudaSingle);
   EXPECT_NE(r2.label.find("per-block-kernels"), std::string::npos);
+}
+
+// ---- golden pins ----------------------------------------------------------------
+
+// Every Fig. 5 variant on a 512 KiB trace, pinned bit for bit: modeled
+// seconds and throughput as hexfloats plus kernel launches. A change to any
+// modeled schedule fails here with the replacement row in the message.
+struct Fig5Pin {
+  const char* name;
+  double modeled_seconds;
+  double throughput_mb_s;
+  std::uint64_t kernel_launches;
+};
+
+constexpr Fig5Pin kFig5Pins[] = {
+    {"sequential", 0x1.2bf204c68c8c8p-4,
+     0x1.ca369857c1202p+2, 0},
+    {"spar-cpu", 0x1.013729860cff2p-5,
+     0x1.0b2abdc911401p+4, 0},
+    {"cuda-1thread batched m1 d1 static", 0x1.c13f1caf4012ep-9,
+     0x1.31eea0d506d4fp+7, 16},
+    {"cuda-1thread batched m2 d1 static", 0x1.c13f1caf4012fp-9,
+     0x1.31eea0d506d4ep+7, 16},
+    {"cuda-1thread per-block m1 d1 static", 0x1.9136425bad50ap-7,
+     0x1.568f39823da5fp+5, 425},
+    {"cuda-1thread per-block m2 d1 static", 0x1.9136425bad508p-7,
+     0x1.568f39823da61p+5, 425},
+    {"opencl-1thread batched m1 d1 static", 0x1.c357fba356d09p-9,
+     0x1.3082b93d7d42ep+7, 16},
+    {"opencl-1thread batched m2 d1 static", 0x1.0e8fc704d2169p-9,
+     0x1.fbf9fcb7a3ebap+7, 16},
+    {"opencl-1thread per-block m1 d1 static", 0x1.91bc7a18b3001p-7,
+     0x1.561cc70c07b81p+5, 425},
+    {"opencl-1thread per-block m2 d1 static", 0x1.4895f797a2dfbp-7,
+     0x1.a2462f608a5cfp+5, 425},
+    {"spar+cuda batched m1 d1 static", 0x1.abb686abc86c4p-10,
+     0x1.4155a3c52961ap+8, 16},
+    {"spar+cuda batched m1 d1 adaptive", 0x1.abb686abc86c4p-10,
+     0x1.4155a3c52961ap+8, 16},
+    {"spar+cuda batched m1 d2 static", 0x1.24ad1cec1e0b4p-10,
+     0x1.d5980666486dbp+8, 16},
+    {"spar+cuda batched m1 d2 adaptive", 0x1.24ad1cec1e0b4p-10,
+     0x1.d5980666486dbp+8, 16},
+    {"spar+cuda batched m2 d1 static", 0x1.abb686abc86c4p-10,
+     0x1.4155a3c52961ap+8, 16},
+    {"spar+cuda batched m2 d1 adaptive", 0x1.abb686abc86c4p-10,
+     0x1.4155a3c52961ap+8, 16},
+    {"spar+cuda batched m2 d2 static", 0x1.24ad1cec1e0b4p-10,
+     0x1.d5980666486dbp+8, 16},
+    {"spar+cuda batched m2 d2 adaptive", 0x1.5c20c74e88c85p-10,
+     0x1.8acb54d31a18ap+8, 16},
+    {"spar+cuda per-block m1 d1 static", 0x1.8395a7e68aa3fp-7,
+     0x1.629a8fea0bb2ep+5, 425},
+    {"spar+cuda per-block m1 d1 adaptive", 0x1.8395a7e68aa3fp-7,
+     0x1.629a8fea0bb2ep+5, 425},
+    {"spar+cuda per-block m1 d2 static", 0x1.f33e03136120ap-8,
+     0x1.134b8d548a43bp+6, 425},
+    {"spar+cuda per-block m1 d2 adaptive", 0x1.fe6bb2951f7abp-8,
+     0x1.0d441a7f3a667p+6, 425},
+    {"spar+cuda per-block m2 d1 static", 0x1.8395a7e68aa3fp-7,
+     0x1.629a8fea0bb2ep+5, 425},
+    {"spar+cuda per-block m2 d1 adaptive", 0x1.8395a7e68aa3fp-7,
+     0x1.629a8fea0bb2ep+5, 425},
+    {"spar+cuda per-block m2 d2 static", 0x1.f33e03136120ap-8,
+     0x1.134b8d548a43bp+6, 425},
+    {"spar+cuda per-block m2 d2 adaptive", 0x1.024696a8d43c3p-7,
+     0x1.0a11f89a30442p+6, 425},
+    {"spar+opencl batched m1 d1 static", 0x1.b06e7c50fb972p-10,
+     0x1.3dd4051f95f1ap+8, 16},
+    {"spar+opencl batched m1 d1 adaptive", 0x1.b06e7c50fb972p-10,
+     0x1.3dd4051f95f1ap+8, 16},
+    {"spar+opencl batched m1 d2 static", 0x1.27d26b5a4027dp-10,
+     0x1.d099aa44996cfp+8, 16},
+    {"spar+opencl batched m1 d2 adaptive", 0x1.27d26b5a4027dp-10,
+     0x1.d099aa44996cfp+8, 16},
+    {"spar+opencl batched m2 d1 static", 0x1.b06e7c50fb972p-10,
+     0x1.3dd4051f95f1ap+8, 16},
+    {"spar+opencl batched m2 d1 adaptive", 0x1.b06e7c50fb972p-10,
+     0x1.3dd4051f95f1ap+8, 16},
+    {"spar+opencl batched m2 d2 static", 0x1.27d26b5a4027dp-10,
+     0x1.d099aa44996cfp+8, 16},
+    {"spar+opencl batched m2 d2 adaptive", 0x1.5fcc4d79b0946p-10,
+     0x1.86acfae73ff99p+8, 16},
+    {"spar+opencl per-block m1 d1 static", 0x1.9efa883af3b1ap-7,
+     0x1.4b31fbb0edd25p+5, 425},
+    {"spar+opencl per-block m1 d1 adaptive", 0x1.9efa883af3b1ap-7,
+     0x1.4b31fbb0edd25p+5, 425},
+    {"spar+opencl per-block m1 d2 static", 0x1.0afcf7df0ce2ep-7,
+     0x1.01634285a3504p+6, 425},
+    {"spar+opencl per-block m1 d2 adaptive", 0x1.1109406551097p-7,
+     0x1.f75f6ce1d73fbp+5, 425},
+    {"spar+opencl per-block m2 d1 static", 0x1.9efa883af3b1ap-7,
+     0x1.4b31fbb0edd25p+5, 425},
+    {"spar+opencl per-block m2 d1 adaptive", 0x1.9efa883af3b1ap-7,
+     0x1.4b31fbb0edd25p+5, 425},
+    {"spar+opencl per-block m2 d2 static", 0x1.0afcf7df0ce2ep-7,
+     0x1.01634285a3504p+6, 425},
+    {"spar+opencl per-block m2 d2 adaptive", 0x1.142ac4bb363e3p-7,
+     0x1.f1aa7dd6d65dep+5, 425},
+};
+
+struct Fig5Variant {
+  std::string name;
+  Fig5Config config;
+  Fig5Backend backend;
+};
+
+std::vector<Fig5Variant> golden_variants() {
+  Fig5Config base;
+  base.dedup = test_config();
+  base.replicas = 3;
+  std::vector<Fig5Variant> out;
+  for (Fig5Backend b : {Fig5Backend::kSequential, Fig5Backend::kSparCpu,
+                        Fig5Backend::kCudaSingle, Fig5Backend::kOclSingle,
+                        Fig5Backend::kSparCuda, Fig5Backend::kSparOcl}) {
+    const std::string name(fig5_backend_name(b));
+    if (b == Fig5Backend::kSequential || b == Fig5Backend::kSparCpu) {
+      out.push_back({name, base, b});
+      continue;
+    }
+    const bool farm =
+        b == Fig5Backend::kSparCuda || b == Fig5Backend::kSparOcl;
+    for (bool batched : {true, false}) {
+      for (int spaces : {1, 2}) {
+        for (int devices : {1, 2}) {
+          for (auto mode :
+               {sched::SchedMode::kStatic, sched::SchedMode::kAdaptive}) {
+            // The single-thread drivers drive one GPU and ignore the sched.
+            if (!farm && (devices > 1 || mode != sched::SchedMode::kStatic)) {
+              continue;
+            }
+            Fig5Config c = base;
+            c.batched_kernel = batched;
+            c.mem_spaces = spaces;
+            c.devices = devices;
+            c.sched = mode;
+            out.push_back({name + (batched ? " batched" : " per-block") +
+                               " m" + std::to_string(spaces) + " d" +
+                               std::to_string(devices) + " " +
+                               sched::to_string(mode),
+                           c, b});
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(Fig5GoldenTest, EveryVariantMatchesItsPin) {
+  const DedupTrace trace =
+      build_trace(test_input(512 * 1024), test_config());
+  const std::vector<Fig5Variant> variants = golden_variants();
+  EXPECT_EQ(variants.size(), std::size(kFig5Pins));
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    const Fig5Result r =
+        run_fig5(trace, variants[i].config, variants[i].backend);
+    char row[256];
+    std::snprintf(row, sizeof row, "    {\"%s\", %a,\n     %a, %llu},",
+                  variants[i].name.c_str(), r.modeled_seconds,
+                  r.throughput_mb_s,
+                  static_cast<unsigned long long>(r.kernel_launches));
+    if (i >= std::size(kFig5Pins)) {
+      ADD_FAILURE() << "unpinned variant:\n" << row;
+      continue;
+    }
+    const Fig5Pin& pin = kFig5Pins[i];
+    EXPECT_EQ(variants[i].name, pin.name) << row;
+    EXPECT_EQ(r.modeled_seconds, pin.modeled_seconds) << row;
+    EXPECT_EQ(r.throughput_mb_s, pin.throughput_mb_s) << row;
+    EXPECT_EQ(r.kernel_launches, pin.kernel_launches) << row;
+  }
 }
 
 }  // namespace

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cudax/cudax.hpp"
 #include "mandel/iteration_map.hpp"
@@ -312,6 +316,286 @@ TEST_F(ModeledTest, TbbTokenCapMatters) {
   c.tbb_tokens = 38;
   auto tuned = run_cpu_pipeline(map(), c, CpuModel::kTbb);
   EXPECT_GT(starved.modeled_seconds, tuned.modeled_seconds * 1.5);
+}
+
+// ---- golden pins ----------------------------------------------------------------
+
+// Every modeled variant on a 64x64 map, pinned bit for bit: modeled seconds
+// as hexfloats, kernel launches, the image checksum and the batch size the
+// adaptive sizer converged to. A change to any modeled schedule fails here
+// with the replacement row in the message.
+struct ModeledPin {
+  const char* name;
+  double modeled_seconds;
+  std::uint64_t kernel_launches;
+  std::uint64_t checksum;
+  std::uint64_t adaptive_batch_lines;
+};
+
+constexpr ModeledPin kModeledPins[] = {
+    {"sequential", 0x1.fbd7516019f0ep-11, 0,
+     0x614c45c1095432f0ull, 0},
+    {"cpu spar", 0x1.139b4e8bba6fp-12, 0,
+     0x614c45c1095432f0ull, 0},
+    {"cpu tbb", 0x1.42b9743ba253ap-12, 0,
+     0x614c45c1095432f0ull, 0},
+    {"cpu fastflow", 0x1.0ec880f3ec877p-12, 0,
+     0x614c45c1095432f0ull, 0},
+    {"gpu cuda per-line", 0x1.064fb1106c437p-9, 64,
+     0x614c45c1095432f0ull, 0},
+    {"gpu cuda 2d", 0x1.064fb1106c437p-9, 64,
+     0x614c45c1095432f0ull, 0},
+    {"gpu cuda batched d1 b1 static", 0x1.480413b392a15p-12, 8,
+     0x614c45c1095432f0ull, 0},
+    {"gpu cuda batched d1 b1 adaptive", 0x1.206bf442891edp-12, 7,
+     0x614c45c1095432f0ull, 64},
+    {"gpu cuda batched d1 b2 static", 0x1.35550b920dd8dp-13, 8,
+     0x614c45c1095432f0ull, 0},
+    {"gpu cuda batched d1 b2 adaptive", 0x1.3da17e00fd273p-13, 7,
+     0x614c45c1095432f0ull, 64},
+    {"gpu cuda batched d1 b4 static", 0x1.2782c5e683542p-13, 8,
+     0x614c45c1095432f0ull, 0},
+    {"gpu cuda batched d1 b4 adaptive", 0x1.2dae8a44ac8d5p-13, 7,
+     0x614c45c1095432f0ull, 64},
+    {"gpu cuda batched d2 b1 static", 0x1.35550b920dd8dp-13, 8,
+     0x614c45c1095432f0ull, 0},
+    {"gpu cuda batched d2 b1 adaptive", 0x1.3cb418ff5df74p-13, 7,
+     0x614c45c1095432f0ull, 64},
+    {"gpu cuda batched d2 b2 static", 0x1.15067fff72442p-13, 8,
+     0x614c45c1095432f0ull, 0},
+    {"gpu cuda batched d2 b2 adaptive", 0x1.043f885ebc569p-13, 7,
+     0x614c45c1095432f0ull, 64},
+    {"gpu cuda batched d2 b4 static", 0x1.15067fff72442p-13, 8,
+     0x614c45c1095432f0ull, 0},
+    {"gpu cuda batched d2 b4 adaptive", 0x1.0d6c1951ba59cp-13, 7,
+     0x614c45c1095432f0ull, 64},
+    {"gpu opencl per-line", 0x1.1716a8b122311p-9, 64,
+     0x614c45c1095432f0ull, 0},
+    {"gpu opencl 2d", 0x1.1716a8b122311p-9, 64,
+     0x614c45c1095432f0ull, 0},
+    {"gpu opencl batched d1 b1 static", 0x1.58cb0b54488efp-12, 8,
+     0x614c45c1095432f0ull, 0},
+    {"gpu opencl batched d1 b1 adaptive", 0x1.2f1a0cef284ebp-12, 7,
+     0x614c45c1095432f0ull, 64},
+    {"gpu opencl batched d1 b2 static", 0x1.52b13ceb4c388p-13, 8,
+     0x614c45c1095432f0ull, 0},
+    {"gpu opencl batched d1 b2 adaptive", 0x1.4e6875a1b314ap-13, 7,
+     0x614c45c1095432f0ull, 64},
+    {"gpu opencl batched d1 b4 static", 0x1.36946f40de1f2p-13, 8,
+     0x614c45c1095432f0ull, 0},
+    {"gpu opencl batched d1 b4 adaptive", 0x1.31e0482cda08bp-13, 7,
+     0x614c45c1095432f0ull, 64},
+    {"gpu opencl batched d2 b1 static", 0x1.52b13ceb4c388p-13, 8,
+     0x614c45c1095432f0ull, 0},
+    {"gpu opencl batched d2 b1 adaptive", 0x1.4d7b10a013e4cp-13, 7,
+     0x614c45c1095432f0ull, 64},
+    {"gpu opencl batched d2 b2 static", 0x1.36946f40de1f2p-13, 8,
+     0x614c45c1095432f0ull, 0},
+    {"gpu opencl batched d2 b2 adaptive", 0x1.219bb9b7fab63p-13, 7,
+     0x614c45c1095432f0ull, 64},
+    {"gpu opencl batched d2 b4 static", 0x1.36946f40de1f2p-13, 8,
+     0x614c45c1095432f0ull, 0},
+    {"gpu opencl batched d2 b4 adaptive", 0x1.219bb9b7fab64p-13, 7,
+     0x614c45c1095432f0ull, 64},
+    {"combined spar cuda d1 static", 0x1.2fb091d1a8d18p-13, 8,
+     0x614c45c1095432f0ull, 0},
+    {"combined spar cuda d1 adaptive", 0x1.29765b1808035p-13, 7,
+     0x614c45c1095432f0ull, 64},
+    {"combined spar cuda d2 static", 0x1.ca72b6eb0ef33p-14, 8,
+     0x614c45c1095432f0ull, 0},
+    {"combined spar cuda d2 adaptive", 0x1.f548280f3c25cp-14, 7,
+     0x614c45c1095432f0ull, 64},
+    {"combined spar opencl d1 static", 0x1.33e24fb9d64cfp-13, 8,
+     0x614c45c1095432f0ull, 0},
+    {"combined spar opencl d1 adaptive", 0x1.2da81900357ecp-13, 7,
+     0x614c45c1095432f0ull, 64},
+    {"combined spar opencl d2 static", 0x1.d2d632bb69e9fp-14, 8,
+     0x614c45c1095432f0ull, 0},
+    {"combined spar opencl d2 adaptive", 0x1.03078fd7f909bp-13, 7,
+     0x614c45c1095432f0ull, 64},
+    {"combined tbb cuda d1 static", 0x1.3417ff9f0bc66p-13, 8,
+     0x614c45c1095432f0ull, 0},
+    {"combined tbb cuda d1 adaptive", 0x1.30cd676e579b4p-13, 7,
+     0x614c45c1095432f0ull, 64},
+    {"combined tbb cuda d2 static", 0x1.e7cee8444d52fp-14, 8,
+     0x614c45c1095432f0ull, 0},
+    {"combined tbb cuda d2 adaptive", 0x1.0372efa263fc6p-13, 7,
+     0x614c45c1095432f0ull, 64},
+    {"combined tbb opencl d1 static", 0x1.3849bd873941cp-13, 8,
+     0x614c45c1095432f0ull, 0},
+    {"combined tbb opencl d1 adaptive", 0x1.34ff25568516ap-13, 7,
+     0x614c45c1095432f0ull, 64},
+    {"combined tbb opencl d2 static", 0x1.f0326414a849bp-14, 8,
+     0x614c45c1095432f0ull, 0},
+    {"combined tbb opencl d2 adaptive", 0x1.0bd66b72bef33p-13, 7,
+     0x614c45c1095432f0ull, 64},
+    {"combined fastflow cuda d1 static", 0x1.2f0f822208657p-13, 8,
+     0x614c45c1095432f0ull, 0},
+    {"combined fastflow cuda d1 adaptive", 0x1.2869eb9dfca48p-13, 7,
+     0x614c45c1095432f0ull, 64},
+    {"combined fastflow cuda d2 static", 0x1.c640f902e178p-14, 8,
+     0x614c45c1095432f0ull, 0},
+    {"combined fastflow cuda d2 adaptive", 0x1.f2c3e950ba756p-14, 7,
+     0x614c45c1095432f0ull, 64},
+    {"combined fastflow opencl d1 static", 0x1.3341400a35e0dp-13, 8,
+     0x614c45c1095432f0ull, 0},
+    {"combined fastflow opencl d1 adaptive", 0x1.2c9ba9862a1fep-13, 7,
+     0x614c45c1095432f0ull, 64},
+    {"combined fastflow opencl d2 static", 0x1.cea474d33c6edp-14, 8,
+     0x614c45c1095432f0ull, 0},
+    {"combined fastflow opencl d2 adaptive", 0x1.01c57078b8317p-13, 7,
+     0x614c45c1095432f0ull, 64},
+    {"ablation per-line sum-lane", 0x1.f9a25a4dd061ep-10, 64,
+     0x614c45c1095432f0ull, 0},
+    {"ablation batched sum-lane", 0x1.15067fff72442p-13, 8,
+     0x614c45c1095432f0ull, 0},
+    {"ablation combined sum-lane", 0x1.ca67b56b6e3a5p-14, 8,
+     0x614c45c1095432f0ull, 0},
+    {"ablation per-line no-overlap", 0x1.064fb1106c437p-9, 64,
+     0x614c45c1095432f0ull, 0},
+    {"ablation batched no-overlap", 0x1.15067fff72442p-13, 8,
+     0x614c45c1095432f0ull, 0},
+    {"ablation combined no-overlap", 0x1.f9bdd63dc5808p-14, 8,
+     0x614c45c1095432f0ull, 0},
+    {"adaptive batched small-mem", 0x1.043f885ebc569p-13, 7,
+     0x614c45c1095432f0ull, 18},
+    {"adaptive combined small-mem", 0x1.fabc0556aa794p-14, 8,
+     0x614c45c1095432f0ull, 10},
+};
+
+struct ModeledVariant {
+  std::string name;
+  std::function<RunResult()> run;
+};
+
+std::vector<ModeledVariant> golden_variants(const IterationMap& map) {
+  ModeledConfig base;
+  base.batch_lines = 8;
+  base.cpu_workers = 5;
+  base.combined_workers = 4;
+  base.tbb_tokens = 6;
+  std::vector<ModeledVariant> out;
+  out.push_back({"sequential", [&map, base] {
+                   return run_sequential(map, base);
+                 }});
+  for (CpuModel m : {CpuModel::kSpar, CpuModel::kTbb, CpuModel::kFastFlow}) {
+    out.push_back({"cpu " + std::string(cpu_model_name(m)), [&map, base, m] {
+                     return run_cpu_pipeline(map, base, m);
+                   }});
+  }
+  const std::pair<sched::SchedMode, const char*> scheds[] = {
+      {sched::SchedMode::kStatic, "static"},
+      {sched::SchedMode::kAdaptive, "adaptive"}};
+  for (GpuApi api : {GpuApi::kCuda, GpuApi::kOpenCl}) {
+    const std::string a(gpu_api_name(api));
+    out.push_back({"gpu " + a + " per-line", [&map, base, api] {
+                     return run_gpu_single_thread(map, base, api,
+                                                  GpuMode::kPerLine1D);
+                   }});
+    out.push_back({"gpu " + a + " 2d", [&map, base, api] {
+                     return run_gpu_single_thread(map, base, api,
+                                                  GpuMode::kPerLine2D);
+                   }});
+    for (int devices : {1, 2}) {
+      for (int buffers : {1, 2, 4}) {
+        for (const auto& [mode, sname] : scheds) {
+          ModeledConfig c = base;
+          c.devices = devices;
+          c.buffers_per_gpu = buffers;
+          c.sched = mode;
+          out.push_back({"gpu " + a + " batched d" + std::to_string(devices) +
+                             " b" + std::to_string(buffers) + " " + sname,
+                         [&map, c, api] {
+                           return run_gpu_single_thread(map, c, api,
+                                                        GpuMode::kBatched);
+                         }});
+        }
+      }
+    }
+  }
+  for (CpuModel m : {CpuModel::kSpar, CpuModel::kTbb, CpuModel::kFastFlow}) {
+    for (GpuApi api : {GpuApi::kCuda, GpuApi::kOpenCl}) {
+      for (int devices : {1, 2}) {
+        for (const auto& [mode, sname] : scheds) {
+          ModeledConfig c = base;
+          c.devices = devices;
+          c.sched = mode;
+          out.push_back({"combined " + std::string(cpu_model_name(m)) + " " +
+                             std::string(gpu_api_name(api)) + " d" +
+                             std::to_string(devices) + " " + sname,
+                         [&map, c, m, api] {
+                           return run_combined(map, c, m, api);
+                         }});
+        }
+      }
+    }
+  }
+  // The ablation knobs, each alone, on one row of every GPU variant.
+  for (int knob = 0; knob < 2; ++knob) {
+    ModeledConfig c = base;
+    c.devices = 2;
+    c.buffers_per_gpu = 2;
+    if (knob == 0) {
+      c.divergence = gpusim::DivergenceModel::kSumLane;
+    } else {
+      c.copy_compute_overlap = false;
+    }
+    const std::string k = knob == 0 ? " sum-lane" : " no-overlap";
+    out.push_back({"ablation per-line" + k, [&map, c] {
+                     return run_gpu_single_thread(map, c, GpuApi::kCuda,
+                                                  GpuMode::kPerLine1D);
+                   }});
+    out.push_back({"ablation batched" + k, [&map, c] {
+                     return run_gpu_single_thread(map, c, GpuApi::kCuda,
+                                                  GpuMode::kBatched);
+                   }});
+    out.push_back({"ablation combined" + k, [&map, c] {
+                     return run_combined(map, c, CpuModel::kSpar,
+                                         GpuApi::kCuda);
+                   }});
+  }
+  // Adaptive rows whose growth a small device memory cuts short.
+  ModeledConfig small = base;
+  small.devices = 2;
+  small.buffers_per_gpu = 2;
+  small.sched = sched::SchedMode::kAdaptive;
+  small.device_spec.memory_bytes = 2048;
+  out.push_back({"adaptive batched small-mem", [&map, small] {
+                   return run_gpu_single_thread(map, small, GpuApi::kCuda,
+                                                GpuMode::kBatched);
+                 }});
+  out.push_back({"adaptive combined small-mem", [&map, small] {
+                   return run_combined(map, small, CpuModel::kSpar,
+                                       GpuApi::kCuda);
+                 }});
+  return out;
+}
+
+TEST(ModeledGoldenTest, EveryVariantMatchesItsPin) {
+  MandelParams p = tiny_params();
+  const IterationMap map = IterationMap::compute(p);
+  const std::vector<ModeledVariant> variants = golden_variants(map);
+  EXPECT_EQ(variants.size(), std::size(kModeledPins));
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    const RunResult r = variants[i].run();
+    char row[256];
+    std::snprintf(row, sizeof row,
+                  "    {\"%s\", %a, %llu,\n     0x%llxull, %llu},",
+                  variants[i].name.c_str(), r.modeled_seconds,
+                  static_cast<unsigned long long>(r.kernel_launches),
+                  static_cast<unsigned long long>(r.checksum),
+                  static_cast<unsigned long long>(r.adaptive_batch_lines));
+    if (i >= std::size(kModeledPins)) {
+      ADD_FAILURE() << "unpinned variant:\n" << row;
+      continue;
+    }
+    const ModeledPin& pin = kModeledPins[i];
+    EXPECT_EQ(variants[i].name, pin.name) << row;
+    EXPECT_EQ(r.modeled_seconds, pin.modeled_seconds) << row;
+    EXPECT_EQ(r.kernel_launches, pin.kernel_launches) << row;
+    EXPECT_EQ(r.checksum, pin.checksum) << row;
+    EXPECT_EQ(r.adaptive_batch_lines, pin.adaptive_batch_lines) << row;
+  }
 }
 
 }  // namespace
