@@ -1,112 +1,8 @@
 #include "cluster/modeled.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <memory>
-#include <span>
-
-#include "dedup/modeled_detail.hpp"
-#include "mandel/modeled_detail.hpp"
-#include "perfmodel/host_model.hpp"
 
 namespace hs::cluster {
-
-namespace {
-
-using dedup::BatchCosts;
-using dedup::Fig5Backend;
-using perfmodel::ModeledHost;
-
-/// Fixed size of a cross-node work descriptor (batch/line handoff without
-/// payload): stage pointers, offsets, sizes. Shared with the stage-graph
-/// builders so the estimator predicts exactly what the runners send.
-constexpr std::uint64_t kDescriptorBytes = 64;
-/// Sharded dup-check wire sizes per block: query carries the 20-byte
-/// digest + tag, the response an 8-byte id + flags.
-constexpr std::uint64_t kShardQueryBytes = 24;
-constexpr std::uint64_t kShardResponseBytes = 16;
-
-std::vector<int> resolve_placement(const Placement& placement,
-                                   std::size_t instances) {
-  if (placement.node_of.empty()) {
-    return std::vector<int>(instances, 0);
-  }
-  assert(placement.node_of.size() == instances &&
-         "placement size does not match the stage-instance convention");
-  return placement.node_of;
-}
-
-int max_node_devices(ClusterMachine& cluster) {
-  int m = 0;
-  for (int i = 0; i < cluster.node_count(); ++i) {
-    m = std::max(m, cluster.node(i).device_count());
-  }
-  return m;
-}
-
-/// Accumulates measured per-stage compute profiles into
-/// ClusterRunOptions::profile while a runner replays its schedule. All
-/// methods are no-ops when profiling is off, so the hot loops stay
-/// branch-cheap and the modeled schedule is never perturbed.
-class Profiler {
- public:
-  Profiler(const ClusterRunOptions& options, ClusterMachine& cluster,
-           std::size_t expected_stages)
-      : graph_(options.profile), timeline_(&cluster.timeline()) {
-    (void)expected_stages;
-    if (graph_ == nullptr) return;
-    assert(graph_->stages.size() == expected_stages &&
-           "profile graph does not match the run's stage convention");
-    for (StageInstance& s : graph_->stages) s.compute = StageCompute{};
-  }
-
-  [[nodiscard]] bool on() const { return graph_ != nullptr; }
-
-  void set_binding(std::size_t stage, GpuBinding binding) {
-    if (graph_ == nullptr) return;
-    graph_->stages[stage].compute.binding = binding;
-  }
-
-  /// Records one item processed by `stage`. `index` is the global item
-  /// number (the device round-robin key under GpuBinding::kPerItem).
-  void add(std::size_t stage, std::uint64_t index, double host_seconds,
-           double gpu_seconds = 0, double copy_seconds = 0) {
-    if (graph_ == nullptr) return;
-    StageCompute& c = graph_->stages[stage].compute;
-    c.host_seconds += host_seconds;
-    c.gpu_seconds += gpu_seconds;
-    c.copy_seconds += copy_seconds;
-    c.items.push_back({index, host_seconds, gpu_seconds, copy_seconds});
-  }
-
-  /// Duration of a recorded timeline task (every gpusim op is one task).
-  [[nodiscard]] double task_seconds(des::TaskId id) const {
-    if (graph_ == nullptr || !id.valid()) return 0;
-    return timeline_->finish_time(id) - timeline_->start_time(id);
-  }
-
- private:
-  StageGraph* graph_;
-  des::Timeline* timeline_;
-};
-
-/// Fills the fabric/link fields, exports counters, dumps the trace.
-void finalize(ClusterMachine& cluster, const ClusterRunOptions& options,
-              ClusterRunResult& out) {
-  out.kernel_launches = cluster.kernel_launches();
-  out.fabric_bytes = cluster.fabric().total_bytes();
-  out.fabric_transfers = cluster.fabric().total_transfers();
-  out.links = cluster.fabric().link_stats();
-  if (options.registry != nullptr) {
-    cluster.fabric().export_counters(*options.registry,
-                                     options.telemetry_prefix);
-  }
-  if (!options.trace_path.empty()) {
-    (void)cluster.dump_chrome_trace(options.trace_path);
-  }
-}
-
-}  // namespace
 
 StageGraph dedup_stage_graph(const dedup::DedupTrace& trace, int replicas,
                              bool workers_need_gpu) {
@@ -128,7 +24,7 @@ StageGraph dedup_stage_graph(const dedup::DedupTrace& trace, int replicas,
   std::vector<std::vector<std::uint64_t>> xfer(
       n, std::vector<std::uint64_t>(n, 0));
   for (std::size_t i = 0; i < trace.batches.size(); ++i) {
-    const BatchCosts& b = trace.batches[i];
+    const dedup::BatchCosts& b = trace.batches[i];
     const std::size_t w = 3 + i % static_cast<std::size_t>(R);
     acc[0][w] += b.data_len;                  // batch payload to the worker
     acc[w][1] += 20 * b.block_count;          // digests to the dup check
@@ -187,526 +83,18 @@ StageGraph mandel_stage_graph(int dim, int batch_lines, int workers,
   return g;
 }
 
-ClusterRunResult run_fig5_cluster(const dedup::DedupTrace& trace,
-                                  const dedup::Fig5Config& config,
-                                  dedup::Fig5Backend backend,
-                                  const ClusterRunOptions& options) {
-  assert((backend == Fig5Backend::kSequential ||
-          backend == Fig5Backend::kSparCpu ||
-          backend == Fig5Backend::kSparCuda ||
-          backend == Fig5Backend::kSparOcl) &&
-         "single-thread GPU variants are single-node by definition");
-  assert(config.sched == sched::SchedMode::kStatic &&
-         "cluster runner models the paper's static schedules");
-
-  const perfmodel::HostProfile& host = config.host;
-  dedup::detail::CpuCosts cpu(host);
-  const bool gpu = backend == Fig5Backend::kSparCuda ||
-                   backend == Fig5Backend::kSparOcl;
-  const bool cuda = backend == Fig5Backend::kSparCuda;
-  const int replicas = std::max(1, config.replicas);
-  const int mem_spaces = std::max(1, config.mem_spaces);
-  const double enq = cuda ? host.gpu_enqueue_overhead
-                          : host.gpu_enqueue_overhead * 1.5;
-  const double item_ovh = host.spar_item_overhead;
-  const gpusim::HostMem host_mem = gpusim::HostMem::kPageable;
-
-  ClusterMachine cluster(options.topo);
-  if (!options.trace_path.empty()) cluster.set_trace_recording(true);
-  Fabric& fabric = cluster.fabric();
-  const int N = cluster.node_count();
-
-  ClusterRunResult out;
-  out.label = std::string(dedup::fig5_backend_name(backend));
-  const int max_dev = max_node_devices(cluster);
-  if (gpu && !config.batched_kernel) out.label += " per-block-kernels";
-  if (gpu && mem_spaces > 1) {
-    out.label += " " + std::to_string(mem_spaces) + "x-mem";
-  }
-  if (gpu && max_dev > 1) out.label += " " + std::to_string(max_dev) + "gpu";
-
-  if (backend == Fig5Backend::kSequential) {
-    std::vector<int> place = resolve_placement(options.placement, 1);
-    Profiler prof(options, cluster, 1);
-    ModeledHost seq(&cluster.node(place[0]), "seq");
-    for (std::size_t i = 0; i < trace.batches.size(); ++i) {
-      const BatchCosts& b = trace.batches[i];
-      const double cost = cpu.frag(b) + cpu.hash(b) + cpu.dupcheck(b) +
-                          cpu.compress(b) + cpu.write(b);
-      seq.work(cost);
-      prof.add(0, i, cost);
-    }
-    out.modeled_seconds = seq.finish_time();
-    out.throughput_mb_s =
-        out.modeled_seconds > 0
-            ? static_cast<double>(trace.input_bytes) / 1e6 / out.modeled_seconds
-            : 0;
-    finalize(cluster, options, out);
-    return out;
-  }
-
-  std::vector<int> place = resolve_placement(
-      options.placement, 3 + static_cast<std::size_t>(replicas));
-  const int src_node = place[0];
-  const int dup_node = place[1];
-  const int wr_node = place[2];
-
-  Profiler prof(options, cluster, 3 + static_cast<std::size_t>(replicas));
-  if (gpu) {
-    for (int w = 0; w < replicas; ++w) {
-      prof.set_binding(3 + static_cast<std::size_t>(w),
-                       GpuBinding::kPerStage);
-    }
-  }
-
-  ModeledHost source(&cluster.node(src_node), "source");
-  ModeledHost dup(&cluster.node(dup_node), "dupcheck");
-  ModeledHost writer(&cluster.node(wr_node), "writer");
-
-  // Shard services: shard s lives on node s (owner = key % N). Only built
-  // for N > 1 — at one node every probe is local and charged to the dup
-  // engine itself, exactly like the single-host schedule.
-  std::vector<std::unique_ptr<ModeledHost>> shard_hosts;
-  if (N > 1) {
-    for (int n = 0; n < N; ++n) {
-      shard_hosts.push_back(
-          std::make_unique<ModeledHost>(&cluster.node(n), "shard"));
-    }
-  }
-
-  /// Sharded duplicate check of batch `i` arriving at `arrived`.
-  auto sharded_check = [&](std::size_t i, const BatchCosts& b,
-                           des::TaskId arrived) -> des::TaskId {
-    if (N == 1) {
-      prof.add(1, i, cpu.dupcheck(b) + item_ovh);
-      return dup.work_after(cpu.dupcheck(b) + item_ovh, arrived);
-    }
-    std::vector<std::uint64_t> counts(static_cast<std::size_t>(N), 0);
-    for (std::uint8_t key : b.shard_key) {
-      counts[key % static_cast<std::size_t>(N)] += 1;
-    }
-    const double local = static_cast<double>(counts[static_cast<std::size_t>(
-                             dup_node)]) *
-                             host.seconds_per_dupcheck +
-                         item_ovh;
-    prof.add(1, i, local);
-    dup.work_after(local, arrived);
-    for (int o = 0; o < N; ++o) {
-      const std::uint64_t k = counts[static_cast<std::size_t>(o)];
-      if (o == dup_node || k == 0) continue;
-      const auto h =
-          static_cast<std::uint64_t>(fabric.hops(dup_node, o));
-      des::TaskId query = fabric.send(dup_node, o, kShardQueryBytes * k,
-                                      dup.tail(), "shard.query");
-      out.shard_bytes += kShardQueryBytes * k * h;
-      des::TaskId served = shard_hosts[static_cast<std::size_t>(o)]
-                               ->work_after(static_cast<double>(k) *
-                                                host.seconds_per_dupcheck,
-                                            query);
-      des::TaskId resp = fabric.send(o, dup_node, kShardResponseBytes * k,
-                                     served, "shard.response");
-      out.shard_bytes += kShardResponseBytes * k * h;
-      dup.wait(resp);
-    }
-    return dup.tail();
-  };
-
-  if (backend == Fig5Backend::kSparCpu) {
-    std::vector<std::unique_ptr<ModeledHost>> workers;
-    for (int w = 0; w < replicas; ++w) {
-      workers.push_back(std::make_unique<ModeledHost>(
-          &cluster.node(place[3 + static_cast<std::size_t>(w)]),
-          "worker" + std::to_string(w)));
-    }
-    for (std::size_t i = 0; i < trace.batches.size(); ++i) {
-      const BatchCosts& b = trace.batches[i];
-      const std::size_t w = i % workers.size();
-      const int w_node = place[3 + w];
-      des::TaskId emitted = source.work(cpu.frag(b) + item_ovh);
-      prof.add(0, i, cpu.frag(b) + item_ovh);
-      des::TaskId arrived_w =
-          fabric.send(src_node, w_node, b.data_len, emitted, "batch");
-      des::TaskId hashed =
-          workers[w]->work_after(cpu.hash(b) + item_ovh, arrived_w);
-      des::TaskId arrived_d = fabric.send(w_node, dup_node,
-                                          20 * b.block_count, hashed,
-                                          "digests");
-      des::TaskId checked = sharded_check(i, b, arrived_d);
-      des::TaskId arrived_back =
-          fabric.send(dup_node, w_node, b.block_count, checked, "decisions");
-      des::TaskId compressed =
-          workers[w]->work_after(cpu.compress(b) + item_ovh, arrived_back);
-      prof.add(3 + w, i, cpu.hash(b) + cpu.compress(b) + 2 * item_ovh);
-      des::TaskId arrived_wr = fabric.send(w_node, wr_node, b.output_bytes,
-                                           compressed, "archive");
-      writer.work_after(cpu.write(b) + item_ovh, arrived_wr);
-      prof.add(2, i, cpu.write(b) + item_ovh);
-    }
-    out.modeled_seconds = writer.finish_time();
-  } else {
-    // SPar + GPU farm (Fig. 3 graph): hash farm -> sharded dup check ->
-    // compress farm, each replica's pair of host threads pinned to its
-    // placement node and driving that node's GPUs.
-    std::vector<std::unique_ptr<ModeledHost>> hash_workers;
-    std::vector<std::unique_ptr<ModeledHost>> comp_workers;
-    for (int w = 0; w < replicas; ++w) {
-      gpusim::Machine& node =
-          cluster.node(place[3 + static_cast<std::size_t>(w)]);
-      hash_workers.push_back(std::make_unique<ModeledHost>(
-          &node, "hash" + std::to_string(w)));
-      comp_workers.push_back(std::make_unique<ModeledHost>(
-          &node, "comp" + std::to_string(w)));
-    }
-
-    std::uint32_t max_len = 0;
-    for (const BatchCosts& b : trace.batches) {
-      max_len = std::max(max_len, b.data_len);
-    }
-    // Scratch per (node, device), mirroring the single-host per-device
-    // scratch.
-    std::vector<std::vector<dedup::detail::ScratchBuffers>> scratch(
-        static_cast<std::size_t>(N));
-    for (int n = 0; n < N; ++n) {
-      gpusim::Machine& node = cluster.node(n);
-      scratch[static_cast<std::size_t>(n)].resize(
-          static_cast<std::size_t>(node.device_count()));
-      for (int d = 0; d < node.device_count(); ++d) {
-        scratch[static_cast<std::size_t>(n)][static_cast<std::size_t>(d)]
-            .ensure(node.device(d), static_cast<std::size_t>(max_len) * 5);
-      }
-    }
-
-    // Memory spaces: one set per replica on its node's GPUs, round-robin
-    // by the replica's rank on that node (reduces to w % devices on one
-    // node — the single-host binding).
-    std::vector<std::vector<dedup::detail::Space>> spaces(
-        static_cast<std::size_t>(replicas));
-    std::vector<int> node_rank(static_cast<std::size_t>(N), 0);
-    std::vector<int> worker_dev(static_cast<std::size_t>(replicas), 0);
-    for (int w = 0; w < replicas; ++w) {
-      const int w_node = place[3 + static_cast<std::size_t>(w)];
-      gpusim::Machine& node = cluster.node(w_node);
-      assert(node.device_count() > 0 &&
-             "GPU farm worker placed on a node without GPUs");
-      const int d = node_rank[static_cast<std::size_t>(w_node)]++ %
-                    node.device_count();
-      worker_dev[static_cast<std::size_t>(w)] = d;
-      gpusim::Device& dev = node.device(d);
-      for (int s = 0; s < mem_spaces; ++s) {
-        dedup::detail::Space space;
-        space.device = &dev;
-        space.stream = dev.create_stream();
-        spaces[static_cast<std::size_t>(w)].push_back(space);
-      }
-    }
-
-    for (std::size_t i = 0; i < trace.batches.size(); ++i) {
-      const BatchCosts& b = trace.batches[i];
-      des::TaskId emitted = source.work(cpu.frag(b) + item_ovh);
-      prof.add(0, i, cpu.frag(b) + item_ovh);
-
-      const std::size_t w = i % static_cast<std::size_t>(replicas);
-      const int w_node = place[3 + w];
-      ModeledHost& hw = *hash_workers[w];
-      dedup::detail::Space& space =
-          spaces[w][(i / static_cast<std::size_t>(replicas)) %
-                    spaces[w].size()];
-      gpusim::Device& dev = *space.device;
-      dedup::detail::ScratchBuffers& sc =
-          scratch[static_cast<std::size_t>(w_node)]
-                 [static_cast<std::size_t>(
-                     worker_dev[w])];
-
-      const double compute_before =
-          prof.on() ? dev.compute_busy_seconds() : 0;
-      des::TaskId arrived_w =
-          fabric.send(src_node, w_node, b.data_len, emitted, "batch");
-      if (space.last_d2h.valid()) hw.wait(space.last_d2h.task);
-      des::TaskId deps[1] = {arrived_w};
-      hw.work(item_ovh + enq, deps);
-      perfmodel::stream_wait_host(dev, space.stream, hw.tail());
-      auto h2d = dev.memcpy_h2d(sc.dev, sc.host.data(), b.data_len,
-                                space.stream, host_mem);
-      assert(h2d.ok());
-      if (cuda) hw.wait(h2d.value().task);
-      hw.work(enq);
-      dedup::detail::launch_hash_kernel(b, space);
-      hw.work(enq);
-      auto d2h_digests = dev.memcpy_d2h(
-          sc.host.data(), sc.dev,
-          std::max<std::uint64_t>(1, b.block_count * 20), space.stream,
-          host_mem);
-      assert(d2h_digests.ok());
-      hw.wait(d2h_digests.value().task);
-
-      des::TaskId arrived_d = fabric.send(w_node, dup_node,
-                                          20 * b.block_count, hw.tail(),
-                                          "digests");
-      des::TaskId checked = sharded_check(i, b, arrived_d);
-      des::TaskId arrived_back =
-          fabric.send(dup_node, w_node, b.block_count, checked, "decisions");
-
-      ModeledHost& cw = *comp_workers[w];
-      des::TaskId cdeps[1] = {arrived_back};
-      cw.work(item_ovh + enq * (config.batched_kernel
-                                    ? 1.0
-                                    : static_cast<double>(
-                                          std::max<std::uint64_t>(
-                                              1, b.block_count))),
-              cdeps);
-      perfmodel::stream_wait_host(dev, space.stream, cw.tail());
-      dedup::detail::launch_findmatch(b, space, config.dedup.lzss,
-                                      config.batched_kernel);
-      gpusim::OpHandle d2h_matches;
-      if (config.batched_kernel) {
-        cw.work(enq);
-        auto r = dev.memcpy_d2h(
-            sc.host.data(), sc.dev,
-            std::max<std::uint64_t>(1,
-                                    static_cast<std::uint64_t>(b.data_len) *
-                                        sizeof(kernels::LzssMatch)),
-            space.stream, host_mem);
-        assert(r.ok());
-        d2h_matches = r.value();
-      } else {
-        cw.work(enq * static_cast<double>(
-                          std::max<std::uint64_t>(1, b.block_count)));
-        d2h_matches = dedup::detail::per_block_match_readback(
-            b, space, sc.dev, sc.host.data());
-      }
-      cw.wait(d2h_matches.task);
-      space.last_d2h = d2h_matches;
-      des::TaskId encoded = cw.work(cpu.encode_walk(b));
-
-      if (prof.on()) {
-        const double blocks = static_cast<double>(
-            std::max<std::uint64_t>(1, b.block_count));
-        const double host_busy =
-            item_ovh + 2 * enq +  // hash thread
-            item_ovh + cpu.encode_walk(b) +
-            (config.batched_kernel ? 2 * enq : 2 * enq * blocks);
-        prof.add(3 + w, i, host_busy,
-                 dev.compute_busy_seconds() - compute_before,
-                 prof.task_seconds(h2d.value().task) +
-                     prof.task_seconds(d2h_digests.value().task) +
-                     prof.task_seconds(d2h_matches.task));
-      }
-
-      des::TaskId arrived_wr = fabric.send(w_node, wr_node, b.output_bytes,
-                                           encoded, "archive");
-      writer.work_after(cpu.write(b) + item_ovh, arrived_wr);
-      prof.add(2, i, cpu.write(b) + item_ovh);
-    }
-    out.modeled_seconds =
-        std::max(writer.finish_time(), cluster.makespan());
-  }
-
-  out.throughput_mb_s =
-      out.modeled_seconds > 0
-          ? static_cast<double>(trace.input_bytes) / 1e6 / out.modeled_seconds
-          : 0;
-  finalize(cluster, options, out);
-  return out;
+dedup::Fig5Result run_fig5_cluster(const dedup::DedupTrace& trace,
+                                   const dedup::Fig5Config& config,
+                                   dedup::Fig5Backend backend,
+                                   const ClusterRunOptions& options) {
+  return dedup::run_fig5(trace, config, backend, options);
 }
 
-ClusterRunResult run_mandel_sequential_cluster(
-    const mandel::IterationMap& map, const mandel::ModeledConfig& cfg,
-    const ClusterRunOptions& options) {
-  const int dim = map.params().dim;
-  ClusterMachine cluster(options.topo);
-  if (!options.trace_path.empty()) cluster.set_trace_recording(true);
-  std::vector<int> place = resolve_placement(options.placement, 1);
-  Profiler prof(options, cluster, 1);
-  ModeledHost seq(&cluster.node(place[0]), "seq");
-
-  std::vector<std::uint8_t> image(static_cast<std::size_t>(dim) * dim);
-  for (int i = 0; i < dim; ++i) {
-    map.render_line(i, std::span<std::uint8_t>(
-                           image.data() + static_cast<std::size_t>(i) * dim,
-                           static_cast<std::size_t>(dim)));
-    const double cost = static_cast<double>(map.line_cost(i)) *
-                            cfg.host.seconds_per_mandel_iter +
-                        mandel::detail::show_cost(cfg.host, dim, 1);
-    seq.work(cost);
-    prof.add(0, static_cast<std::uint64_t>(i), cost);
-  }
-
-  ClusterRunResult out;
-  out.label = "sequential";
-  out.modeled_seconds = seq.finish_time();
-  out.checksum = mandel::image_checksum(image);
-  finalize(cluster, options, out);
-  return out;
-}
-
-ClusterRunResult run_mandel_cpu_cluster(const mandel::IterationMap& map,
-                                        const mandel::ModeledConfig& cfg,
-                                        const ClusterRunOptions& options) {
-  const int dim = map.params().dim;
-  const double ovh =
-      mandel::detail::item_overhead(cfg.host, mandel::CpuModel::kSpar);
-  ClusterMachine cluster(options.topo);
-  if (!options.trace_path.empty()) cluster.set_trace_recording(true);
-  Fabric& fabric = cluster.fabric();
-
-  const int nworkers = std::max(1, cfg.cpu_workers);
-  std::vector<int> place = resolve_placement(
-      options.placement, 2 + static_cast<std::size_t>(nworkers));
-  const int src_node = place[0];
-  const int sink_node = place[1];
-
-  ModeledHost source(&cluster.node(src_node), "source");
-  ModeledHost sink(&cluster.node(sink_node), "sink");
-  std::vector<std::unique_ptr<ModeledHost>> workers;
-  for (int w = 0; w < nworkers; ++w) {
-    workers.push_back(std::make_unique<ModeledHost>(
-        &cluster.node(place[2 + static_cast<std::size_t>(w)]),
-        "worker" + std::to_string(w)));
-  }
-
-  Profiler prof(options, cluster, 2 + static_cast<std::size_t>(nworkers));
-  std::vector<std::uint8_t> image(static_cast<std::size_t>(dim) * dim);
-  for (int i = 0; i < dim; ++i) {
-    des::TaskId emitted = source.work_after(ovh, des::TaskId{});
-    prof.add(0, static_cast<std::uint64_t>(i), ovh);
-    const std::size_t w = static_cast<std::size_t>(i) % workers.size();
-    const int w_node = place[2 + w];
-    map.render_line(i, std::span<std::uint8_t>(
-                           image.data() + static_cast<std::size_t>(i) * dim,
-                           static_cast<std::size_t>(dim)));
-    des::TaskId arrived =
-        fabric.send(src_node, w_node, kDescriptorBytes, emitted, "line");
-    const double line_cost = static_cast<double>(map.line_cost(i)) *
-                                 cfg.host.seconds_per_mandel_iter +
-                             ovh;
-    des::TaskId computed = workers[w]->work_after(line_cost, arrived);
-    prof.add(2 + w, static_cast<std::uint64_t>(i), line_cost);
-    des::TaskId delivered = fabric.send(
-        w_node, sink_node, static_cast<std::uint64_t>(dim), computed,
-        "pixels");
-    sink.work_after(mandel::detail::show_cost(cfg.host, dim, 1) + ovh,
-                    delivered);
-    prof.add(1, static_cast<std::uint64_t>(i),
-             mandel::detail::show_cost(cfg.host, dim, 1) + ovh);
-  }
-
-  ClusterRunResult out;
-  out.label = "spar cpu";
-  out.modeled_seconds = sink.finish_time();
-  out.checksum = mandel::image_checksum(image);
-  finalize(cluster, options, out);
-  return out;
-}
-
-ClusterRunResult run_mandel_combined_cluster(
+mandel::RunResult run_mandel_combined_cluster(
     const mandel::IterationMap& map, const mandel::ModeledConfig& cfg,
     mandel::GpuApi api, const ClusterRunOptions& options) {
-  assert(cfg.sched == sched::SchedMode::kStatic &&
-         "cluster runner models the paper's static schedule");
-  const int dim = map.params().dim;
-  const double movh =
-      mandel::detail::item_overhead(cfg.host, mandel::CpuModel::kSpar);
-  const double govh = mandel::detail::enqueue_overhead(cfg.host, api);
-  const int batch = std::max(1, cfg.batch_lines);
-  const int nworkers = std::max(1, cfg.combined_workers);
-
-  ClusterMachine cluster(options.topo);
-  if (!options.trace_path.empty()) cluster.set_trace_recording(true);
-  Fabric& fabric = cluster.fabric();
-  for (int n = 0; n < cluster.node_count(); ++n) {
-    mandel::detail::apply_device_knobs(cluster.node(n), cfg);
-  }
-
-  std::vector<int> place = resolve_placement(
-      options.placement, 2 + static_cast<std::size_t>(nworkers));
-  const int src_node = place[0];
-  const int col_node = place[1];
-
-  ModeledHost source(&cluster.node(src_node), "source");
-  ModeledHost collector(&cluster.node(col_node), "collector");
-  std::vector<std::unique_ptr<ModeledHost>> workers;
-  for (int w = 0; w < nworkers; ++w) {
-    workers.push_back(std::make_unique<ModeledHost>(
-        &cluster.node(place[2 + static_cast<std::size_t>(w)]),
-        "worker" + std::to_string(w)));
-  }
-
-  // One memory space per worker per GPU of its node (the single-host
-  // per-worker-per-device spaces, node-local).
-  std::vector<std::vector<mandel::detail::MemSpace>> spaces(
-      static_cast<std::size_t>(nworkers));
-  for (int w = 0; w < nworkers; ++w) {
-    const int w_node = place[2 + static_cast<std::size_t>(w)];
-    gpusim::Machine& node = cluster.node(w_node);
-    assert(node.device_count() > 0 &&
-           "combined worker placed on a node without GPUs");
-    for (int d = 0; d < node.device_count(); ++d) {
-      gpusim::Device& dev = node.device(d);
-      mandel::detail::MemSpace space;
-      space.device = &dev;
-      space.stream = dev.create_stream();
-      auto buf = dev.malloc(static_cast<std::uint64_t>(batch) * dim);
-      assert(buf.ok());
-      space.dev_buf = static_cast<std::uint8_t*>(buf.value());
-      spaces[static_cast<std::size_t>(w)].push_back(space);
-    }
-  }
-
-  Profiler prof(options, cluster, 2 + static_cast<std::size_t>(nworkers));
-  for (int w = 0; w < nworkers; ++w) {
-    prof.set_binding(2 + static_cast<std::size_t>(w), GpuBinding::kPerItem);
-  }
-  std::vector<std::uint8_t> image(static_cast<std::size_t>(dim) * dim);
-  const int nbatches = (dim + batch - 1) / batch;
-
-  for (int b = 0; b < nbatches; ++b) {
-    des::TaskId emitted = source.work_after(movh, des::TaskId{});
-    prof.add(0, static_cast<std::uint64_t>(b), movh);
-
-    const std::size_t w = static_cast<std::size_t>(b % nworkers);
-    const int w_node = place[2 + w];
-    auto& wspaces = spaces[w];
-    const std::size_t d =
-        static_cast<std::size_t>(b) % wspaces.size();
-    mandel::detail::MemSpace& space = wspaces[d];
-    ModeledHost& worker = *workers[w];
-
-    if (space.last_d2h.valid()) worker.wait(space.last_d2h.task);
-    des::TaskId arrived =
-        fabric.send(src_node, w_node, kDescriptorBytes, emitted, "batch");
-    des::TaskId deps[1] = {arrived};
-    worker.work(movh + 2 * govh, deps);
-    perfmodel::stream_wait_host(*space.device, space.stream, worker.tail());
-    const int first = b * batch;
-    const int count = std::min(batch, dim - first);
-    const double compute_before =
-        prof.on() ? space.device->compute_busy_seconds() : 0;
-    space.last_d2h =
-        mandel::detail::launch_batch(map, space, first, count, image);
-    prof.add(2 + w, static_cast<std::uint64_t>(b), movh + 2 * govh,
-             prof.on() ? space.device->compute_busy_seconds() - compute_before
-                       : 0,
-             prof.task_seconds(space.last_d2h.task));
-
-    des::TaskId delivered = fabric.send(
-        w_node, col_node,
-        static_cast<std::uint64_t>(count) * static_cast<std::uint64_t>(dim),
-        space.last_d2h.task, "pixels");
-    collector.wait(delivered);
-    collector.work(mandel::detail::show_cost(cfg.host, dim, count) + movh);
-    prof.add(1, static_cast<std::uint64_t>(b),
-             mandel::detail::show_cost(cfg.host, dim, count) + movh);
-  }
-
-  ClusterRunResult out;
-  out.label = "spar+" + std::string(mandel::gpu_api_name(api));
-  const int max_dev = max_node_devices(cluster);
-  if (max_dev > 1) out.label += " " + std::to_string(max_dev) + "gpu";
-  out.modeled_seconds =
-      std::max(collector.finish_time(), cluster.makespan());
-  out.checksum = mandel::image_checksum(image);
-  finalize(cluster, options, out);
-  return out;
+  return mandel::run_combined(map, cfg, mandel::CpuModel::kSpar, api,
+                              options);
 }
 
 }  // namespace hs::cluster

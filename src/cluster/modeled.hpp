@@ -1,78 +1,22 @@
-// Cluster-scale modeled runners: the single-host Fig. 5 (dedup) and
-// Fig. 1 (mandel) schedules generalized to a multi-node topology.
+// Cluster helpers of the modeled apps: stage graphs of the dedup and
+// mandel pipelines — the per-edge byte totals the placers and estimators
+// consume — and the cluster forms of the runners.
 //
-// The runners replay the *same* stage loops as dedup::run_fig5 and
-// mandel::run_combined/run_cpu_pipeline — shared kernel/copy bodies from
-// the modeled_detail headers — and interpose Fabric::send() wherever an
-// item crosses a stage boundary whose instances a Placement puts on
-// different nodes. Because send(a, a) is a no-op returning its dependency,
-// a 1-node topology produces bit-identical numbers to the single-host
-// runners (asserted by cluster_test and re-checked by bench/fig_cluster at
-// every invocation).
-//
-// The duplicate check shards by content hash: block owner = digest lead
-// byte % nodes (BatchCosts::shard_key), shard s served by node s. The dup
-// stage probes its local shard for free and pays one fabric round trip
-// (24 B/block query, 16 B/block response) per remote owner per batch,
-// serialized on the owner's shard-service engine.
-//
-// Stage instance conventions (index into Placement::node_of):
+// The runners themselves live with their apps (dedup::run_fig5,
+// mandel::run_*): each variant is one loop over a ClusterMachine, run on
+// cluster::single_host by the single-host entry points and on any topology
+// through their ClusterRunOptions overloads (cluster/replay.hpp). The
+// stage-instance conventions of the graphs below are the runners':
 //   dedup:           [0]=source  [1]=dupcheck  [2]=writer  [3+w]=worker w
 //   mandel pipeline: [0]=source  [1]=sink/collector        [2+w]=worker w
-// An empty placement means "everything on node 0".
 #pragma once
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
-#include "cluster/machine.hpp"
 #include "cluster/placement.hpp"
-#include "cluster/topology.hpp"
+#include "cluster/replay.hpp"
 #include "dedup/modeled.hpp"
 #include "mandel/modeled.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace hs::cluster {
-
-struct ClusterRunOptions {
-  Topology topo;
-  /// Stage -> node map per the conventions above; empty = all on node 0.
-  Placement placement;
-  /// When set, the runner measures per-stage compute profiles while it
-  /// replays the schedule — host busy seconds, device compute/copy
-  /// occupancy and per-item costs — and writes them into this graph's
-  /// StageInstance::compute fields (stage count must match the run's
-  /// instance convention). Profiles feed the makespan estimator
-  /// (cluster/makespan.hpp); measuring during a 1-node run keeps them
-  /// placement-neutral. Pure observation: the modeled schedule is
-  /// unchanged.
-  StageGraph* profile = nullptr;
-  /// When set, the run's full schedule (every node + link lane) is dumped
-  /// as Chrome trace-event JSON to this path.
-  std::string trace_path;
-  /// When set, per-link counters are exported here under
-  /// "<telemetry_prefix>.link.<a>-<b>.{transfers,bytes}".
-  telemetry::Registry* registry = nullptr;
-  std::string telemetry_prefix = "cluster";
-};
-
-struct ClusterRunResult {
-  std::string label;
-  double modeled_seconds = 0;
-  double throughput_mb_s = 0;       ///< dedup: input MB (decimal) / second
-  std::uint64_t checksum = 0;       ///< mandel: rendered image checksum
-  std::uint64_t kernel_launches = 0;
-  /// Fabric traffic, counted once per hop (a 2-hop transfer of B bytes
-  /// adds 2B) — the same accounting predicted_cross_bytes uses.
-  std::uint64_t fabric_bytes = 0;
-  std::uint64_t fabric_transfers = 0;
-  /// Portion of fabric_bytes due to sharded dup-check queries/responses
-  /// (placement-independent; subtract to compare against the stage-graph
-  /// estimator).
-  std::uint64_t shard_bytes = 0;
-  std::vector<Fabric::LinkStats> links;
-};
 
 /// Stage graph of the dedup pipeline with per-edge byte totals derived
 /// from `trace` (source->worker batch payloads, worker->dup digests,
@@ -86,29 +30,15 @@ StageGraph dedup_stage_graph(const dedup::DedupTrace& trace, int replicas,
 StageGraph mandel_stage_graph(int dim, int batch_lines, int workers,
                               bool workers_need_gpu);
 
-/// Cluster form of dedup::run_fig5. Supported backends: kSequential,
-/// kSparCpu, kSparCuda, kSparOcl (the single-thread GPU variants are
-/// single-node by definition); config.sched must be kStatic and
-/// config.devices is ignored — each worker uses the GPUs of its node.
-ClusterRunResult run_fig5_cluster(const dedup::DedupTrace& trace,
-                                  const dedup::Fig5Config& config,
-                                  dedup::Fig5Backend backend,
-                                  const ClusterRunOptions& options);
+/// dedup::run_fig5 on `options`' cluster.
+dedup::Fig5Result run_fig5_cluster(const dedup::DedupTrace& trace,
+                                   const dedup::Fig5Config& config,
+                                   dedup::Fig5Backend backend,
+                                   const ClusterRunOptions& options);
 
-/// Cluster form of mandel::run_sequential (trivially node 0).
-ClusterRunResult run_mandel_sequential_cluster(
+/// mandel::run_combined (CpuModel::kSpar) on `options`' cluster.
+mandel::RunResult run_mandel_combined_cluster(
     const mandel::IterationMap& map, const mandel::ModeledConfig& cfg,
-    const ClusterRunOptions& options);
-
-/// Cluster form of mandel::run_cpu_pipeline with CpuModel::kSpar.
-ClusterRunResult run_mandel_cpu_cluster(const mandel::IterationMap& map,
-                                        const mandel::ModeledConfig& cfg,
-                                        const ClusterRunOptions& options);
-
-/// Cluster form of mandel::run_combined (CpuModel::kSpar, static sched).
-ClusterRunResult run_mandel_combined_cluster(const mandel::IterationMap& map,
-                                             const mandel::ModeledConfig& cfg,
-                                             mandel::GpuApi api,
-                                             const ClusterRunOptions& options);
+    mandel::GpuApi api, const ClusterRunOptions& options);
 
 }  // namespace hs::cluster

@@ -152,6 +152,14 @@ Status Topology::validate() const {
       }
     }
   }
+  const Routes routes = compute_routes(*this);
+  for (std::size_t i = 1; i < nodes.size(); ++i) {
+    if (routes.hops[0][i] < 0) {
+      return InvalidArgument("node '" + nodes[i].name +
+                             "' has no path of links to node '" +
+                             nodes[0].name + "'");
+    }
+  }
   return OkStatus();
 }
 
@@ -292,6 +300,15 @@ Topology full_mesh(int nodes, int gpus_per_node,
       topo.links.push_back(std::move(link));
     }
   }
+  return topo;
+}
+
+Topology single_host(int gpus, const gpusim::DeviceSpec& gpu_spec) {
+  Topology topo;
+  NodeSpec node;
+  node.name = "host";
+  node.gpus.assign(static_cast<std::size_t>(std::max(0, gpus)), gpu_spec);
+  topo.nodes.push_back(std::move(node));
   return topo;
 }
 

@@ -16,7 +16,7 @@
 // are full duplex unless marked `half` (one shared engine both ways).
 // Validation rejects duplicate node names, duplicate links, self-links,
 // links referencing unknown nodes, non-positive bandwidth, negative
-// latency, and empty topologies.
+// latency, nodes no path of links reaches, and empty topologies.
 #pragma once
 
 #include <cstdint>
@@ -75,5 +75,10 @@ Topology full_mesh(int nodes, int gpus_per_node,
                    const gpusim::DeviceSpec& gpu_spec,
                    double bandwidth_bytes_per_s, double latency_s,
                    int cores_per_node = 20);
+
+/// One node named "host" with `gpus` GPUs of `gpu_spec` and no links: the
+/// single machine the paper measured, on which the single-host modeled
+/// runners replay their schedules.
+Topology single_host(int gpus, const gpusim::DeviceSpec& gpu_spec);
 
 }  // namespace hs::cluster

@@ -1,14 +1,15 @@
-// Bounded retry with exponential backoff, used by the GPU-facing stream
-// stages to absorb transient device failures (failed copies, spurious launch
-// errors, transient allocation pressure) before degrading to the CPU path.
+// Bounded retry with capped exponential backoff, used by the GPU-facing
+// stream stages and the serve layer to absorb transient device failures
+// (failed copies, spurious launch errors, transient allocation pressure)
+// before degrading to the CPU path.
 //
 // Policy and telemetry are deliberately tiny: stages run per stream item, so
 // the fast path (first attempt succeeds) must cost one branch and one relaxed
-// atomic increment. Delays reuse the escalating Backoff from backoff.hpp for
-// sub-sleep waits and fall back to sleep_for once the exponential delay
-// exceeds the spin range.
+// atomic increment. The caller owns the wait between attempts; the stages
+// draw it from a BackoffSequence (decorrelated jitter, below).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -18,7 +19,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/backoff.hpp"
+#include "common/rng.hpp"
 #include "common/status.hpp"
 
 namespace hs {
@@ -34,9 +35,8 @@ namespace hs {
 struct RetryPolicy {
   /// Total attempts, including the first (1 = no retry).
   int max_attempts = 4;
-  /// Delay before the first retry; doubles (times `multiplier`) per retry.
+  /// Bounds of the delay between attempts (BackoffPolicy::base and cap).
   std::chrono::microseconds base_delay{50};
-  double multiplier = 2.0;
   std::chrono::microseconds max_delay{5000};
   bool (*retriable)(ErrorCode) = &default_retriable;
 };
@@ -97,32 +97,12 @@ inline std::string RetryStats::ToString() const {
   return out;
 }
 
-namespace detail {
-
-inline void retry_delay(const RetryPolicy& policy, int retry_index) {
-  // Scale and clamp in the double domain: multiplier^retry_index can exceed
-  // the int64 range, and casting an out-of-range double is UB.
-  const double cap = static_cast<double>(policy.max_delay.count());
-  double us = static_cast<double>(policy.base_delay.count());
-  for (int i = 0; i < retry_index && us < cap; ++i) us *= policy.multiplier;
-  if (us > cap) us = cap;
-  auto delay = std::chrono::microseconds(static_cast<std::int64_t>(us));
-  if (delay.count() <= 0) {
-    Backoff b;
-    b.pause();
-    return;
-  }
-  std::this_thread::sleep_for(delay);
-}
-
-}  // namespace detail
-
 /// Run `op` (a callable returning Status) up to policy.max_attempts times,
 /// waiting `delay(retry_index)` between attempts (retry_index is 0-based:
 /// 0 before the first retry). Non-retriable codes surface immediately.
 /// `stats` may be null. The delay callable owns the wait entirely — pass
-/// serve::BackoffSequence-backed jitter for shared-fate retry storms, or a
-/// no-op for tests that must not sleep.
+/// BackoffSequence::delay_hook() for shared-fate retry storms, or a no-op
+/// for tests that must not sleep.
 template <typename F, typename DelayFn>
 Status retry_status(const RetryPolicy& policy, RetryStats* stats,
                     std::string_view label, F&& op, DelayFn&& delay) {
@@ -150,15 +130,75 @@ Status retry_status(const RetryPolicy& policy, RetryStats* stats,
   return last;
 }
 
-/// Fixed-ladder form: delays follow the policy's deterministic exponential
-/// staircase (base_delay * multiplier^n, capped at max_delay).
-template <typename F>
-Status retry_status(const RetryPolicy& policy, RetryStats* stats,
-                    std::string_view label, F&& op) {
-  return retry_status(policy, stats, label, std::forward<F>(op),
-                      [&policy](int retry_index) {
-                        detail::retry_delay(policy, retry_index);
-                      });
-}
+/// Shape of one retry-delay sequence. Defaults match RetryPolicy's
+/// base_delay/max_delay.
+struct BackoffPolicy {
+  std::chrono::microseconds base{50};  ///< minimum (and first-draw floor)
+  std::chrono::microseconds cap{5000};  ///< hard ceiling on any delay
+  /// Upper-bound multiplier between consecutive draws; 3.0 is the
+  /// decorrelated-jitter standard (expected growth ~2x per retry).
+  double growth = 3.0;
+};
+
+/// Capped exponential backoff with decorrelated jitter (Brooker,
+/// "Exponential Backoff And Jitter"):
+///
+///   delay[0]   = uniform(base, base * growth)
+///   delay[n+1] = min(cap, uniform(base, delay[n] * growth))
+///
+/// A fixed exponential staircase is a liability when a fault burst hits
+/// every farm worker at once: all of them sleep the same delays and
+/// re-arrive at the sick device in lockstep, re-colliding on every rung.
+/// Drawing each worker's delays independently keeps the expected delay
+/// growing exponentially while spreading the retries. The draws come from
+/// the repo's deterministic Xoshiro256, so a seeded run replays the same
+/// delays (nothing about output bytes depends on timing).
+///
+/// Not thread-safe; each worker (farm replica) owns one, seeded uniquely.
+class BackoffSequence {
+ public:
+  explicit BackoffSequence(BackoffPolicy policy = {}, std::uint64_t seed = 1)
+      : policy_(sanitize(policy)), rng_(seed), prev_(policy_.base) {}
+
+  /// Next delay: uniform in [base, min(cap, prev * growth)], remembered as
+  /// the new `prev`. Every value is within [base, cap] by construction.
+  [[nodiscard]] std::chrono::microseconds next() {
+    const auto base_us = static_cast<double>(policy_.base.count());
+    const auto cap_us = static_cast<double>(policy_.cap.count());
+    double hi = static_cast<double>(prev_.count()) * policy_.growth;
+    hi = std::clamp(hi, base_us, cap_us);
+    const double us = base_us + (hi - base_us) * rng_.uniform();
+    prev_ = std::chrono::microseconds(static_cast<std::int64_t>(us));
+    return prev_;
+  }
+
+  /// Restart the sequence for a new operation (the RNG stream continues, so
+  /// two ops on the same worker still draw different delays).
+  void reset() { prev_ = policy_.base; }
+
+  /// The retry_status delay hook: sleeps next() before each retry,
+  /// restarting the sequence at an operation's first retry so it waits
+  /// near `base`.
+  [[nodiscard]] auto delay_hook() {
+    return [this](int retry_index) {
+      if (retry_index == 0) reset();
+      std::this_thread::sleep_for(next());
+    };
+  }
+
+  [[nodiscard]] const BackoffPolicy& policy() const { return policy_; }
+
+ private:
+  static BackoffPolicy sanitize(BackoffPolicy p) {
+    if (p.base.count() < 0) p.base = std::chrono::microseconds(0);
+    if (p.cap < p.base) p.cap = p.base;
+    if (p.growth < 1.0) p.growth = 1.0;
+    return p;
+  }
+
+  BackoffPolicy policy_;
+  Xoshiro256 rng_;
+  std::chrono::microseconds prev_;
+};
 
 }  // namespace hs

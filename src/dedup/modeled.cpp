@@ -4,32 +4,228 @@
 #include <cassert>
 #include <memory>
 
-#include "dedup/modeled_detail.hpp"
-
 namespace hs::dedup {
 
 namespace {
 
+using cluster::ClusterReplay;
+using cluster::ClusterRunOptions;
 using gpusim::Device;
-using gpusim::Machine;
 using gpusim::OpHandle;
 using perfmodel::HostProfile;
 using perfmodel::ModeledHost;
 
-// Kernel/copy enqueue bodies and CPU stage costs live in modeled_detail.hpp
-// so the cluster runner (cluster/modeled.cpp) charges identical durations.
-using detail::CpuCosts;
-using detail::launch_findmatch;
-using detail::launch_hash_kernel;
-using detail::per_block_match_readback;
-using detail::ScratchBuffers;
-using detail::Space;
+/// GPU lane-cost scale factors: the simulator's cost unit is one simple
+/// arithmetic step (one Mandelbrot iteration); one SHA-1 compression round
+/// and one LZSS candidate comparison are worth roughly these many units.
+constexpr double kSha1RoundUnits = 100.0;
+constexpr double kLzssCompareUnits = 2.0;
+/// Sharded dup-check wire sizes per block: the query carries the 20-byte
+/// digest + tag, the response an 8-byte id + flags.
+constexpr std::uint64_t kShardQueryBytes = 24;
+constexpr std::uint64_t kShardResponseBytes = 16;
 
 bool is_cuda(Fig5Backend b) {
   return b == Fig5Backend::kCudaSingle || b == Fig5Backend::kSparCuda;
 }
 bool is_gpu(Fig5Backend b) {
   return b != Fig5Backend::kSequential && b != Fig5Backend::kSparCpu;
+}
+bool is_farm(Fig5Backend b) {
+  return b == Fig5Backend::kSparCpu || b == Fig5Backend::kSparCuda ||
+         b == Fig5Backend::kSparOcl;
+}
+
+/// Charges the CPU-side costs of the classic stages.
+struct CpuCosts {
+  explicit CpuCosts(const HostProfile& h) : host(h) {}
+  const HostProfile& host;
+
+  double frag(const BatchCosts& b) const {
+    return b.data_len * host.seconds_per_rabin_byte;
+  }
+  double hash(const BatchCosts& b) const {
+    return static_cast<double>(b.sha1_rounds) * host.seconds_per_sha1_round;
+  }
+  double dupcheck(const BatchCosts& b) const {
+    return static_cast<double>(b.block_count) * host.seconds_per_dupcheck;
+  }
+  double compress(const BatchCosts& b) const {
+    return static_cast<double>(b.unique_match_cost_units) *
+               host.seconds_per_lzss_unit +
+           static_cast<double>(b.unique_bytes) * host.seconds_per_encode_byte;
+  }
+  double encode_walk(const BatchCosts& b) const {
+    return static_cast<double>(b.unique_bytes) * host.seconds_per_encode_byte;
+  }
+  double write(const BatchCosts& b) const {
+    return static_cast<double>(b.output_bytes) * host.seconds_per_output_byte;
+  }
+};
+
+/// Scratch device/host buffers of one device, shared by its modeled copies.
+/// Functional content is irrelevant (the trace already holds the results);
+/// sizes are what the cost model consumes.
+struct ScratchBuffers {
+  std::vector<std::uint8_t> host;
+  void* dev = nullptr;
+
+  void allocate(Device& device, std::size_t bytes) {
+    host.resize(bytes);
+    auto r = device.malloc(std::max<std::size_t>(bytes, 1));
+    assert(r.ok());
+    dev = r.value();
+  }
+};
+
+/// One GPU memory space: stream + the tail op its owner must respect.
+struct Space {
+  Device* device = nullptr;
+  gpusim::StreamId stream = 0;
+  ScratchBuffers* scratch = nullptr;  ///< the copy buffers of `device`
+  OpHandle last_d2h;  ///< matches transfer of the previous batch
+};
+
+/// Enqueues the hash kernel for a batch: one lane per block, lane cost =
+/// SHA-1 rounds (Listing-3-style trace-driven body).
+void launch_hash_kernel(const BatchCosts& b, Space& space) {
+  const auto* lens = b.block_lens.data();
+  const std::uint64_t nblocks = b.block_lens.size();
+  auto r = space.device->launch(
+      gpusim::Dim3{static_cast<std::uint32_t>((nblocks + 63) / 64), 1, 1},
+      gpusim::Dim3{64, 1, 1}, {}, space.stream,
+      [lens, nblocks](const gpusim::ThreadCtx& tc) -> double {
+        std::uint64_t i = tc.global_x();
+        if (i >= nblocks) return 1;
+        return static_cast<double>(
+                   kernels::Sha1::compression_rounds(lens[i])) *
+               kSha1RoundUnits;
+      });
+  assert(r.ok());
+  (void)r;
+}
+
+/// Enqueues the FindMatch work for a batch: either the optimized single
+/// kernel over every position (Listing 3) or the pre-fix one-kernel-per-
+/// block form.
+void launch_findmatch(const BatchCosts& b, Space& space,
+                      const kernels::LzssParams& lzss, bool batched_kernel) {
+  const auto& starts = b.start_pos;
+  const std::uint64_t n = b.data_len;
+  if (batched_kernel) {
+    const auto* sp = starts.data();
+    const std::size_t nsp = starts.size();
+    auto r = space.device->launch(
+        gpusim::Dim3{static_cast<std::uint32_t>((n + 255) / 256), 1, 1},
+        gpusim::Dim3{256, 1, 1}, {}, space.stream,
+        [sp, nsp, n, lzss](const gpusim::ThreadCtx& tc) -> double {
+          std::uint64_t pos = tc.global_x();
+          if (pos >= n) return 1;
+          std::size_t lo = 0, hi = nsp;
+          while (lo + 1 < hi) {
+            std::size_t mid = (lo + hi) / 2;
+            if (sp[mid] <= pos) lo = mid;
+            else hi = mid;
+          }
+          return static_cast<double>(
+                     kernels::lzss_match_cost(sp[lo], pos, lzss)) *
+                 kLzssCompareUnits;
+        });
+    assert(r.ok());
+    (void)r;
+    return;
+  }
+  for (std::size_t k = 0; k < starts.size(); ++k) {
+    std::uint64_t bs = starts[k];
+    std::uint64_t be = k + 1 < starts.size() ? starts[k + 1] : n;
+    std::uint64_t len = be - bs;
+    auto r = space.device->launch(
+        gpusim::Dim3{static_cast<std::uint32_t>((len + 255) / 256), 1, 1},
+        gpusim::Dim3{256, 1, 1}, {}, space.stream,
+        [bs, be, lzss](const gpusim::ThreadCtx& tc) -> double {
+          std::uint64_t pos = bs + tc.global_x();
+          if (pos >= be) return 1;
+          return static_cast<double>(
+                     kernels::lzss_match_cost(bs, pos, lzss)) *
+                 kLzssCompareUnits;
+        });
+    assert(r.ok());
+    (void)r;
+  }
+}
+
+/// Host API calls of a batch's FindMatch launch, and again of its match
+/// read-back: one batched kernel and copy, or one per block.
+double findmatch_calls(const BatchCosts& b, bool batched_kernel) {
+  return batched_kernel ? 1.0
+                        : static_cast<double>(
+                              std::max<std::uint64_t>(1, b.block_count));
+}
+
+struct HashOps {
+  OpHandle h2d;
+  OpHandle digests;
+};
+
+/// The hash half of a batch on `space`, after `host`'s tail: batch h2d,
+/// hash kernel, digest read-back, with one enqueue charge to `host` before
+/// each of the last two. CUDA's h2d from pageable memory degrades to a
+/// synchronous copy that blocks `host`.
+HashOps enqueue_hash(ModeledHost& host, Space& space, const BatchCosts& b,
+                     double enq, bool cuda) {
+  Device& dev = *space.device;
+  ScratchBuffers& sc = *space.scratch;
+  perfmodel::stream_wait_host(dev, space.stream, host.tail());
+  HashOps ops;
+  auto h2d = dev.memcpy_h2d(sc.dev, sc.host.data(), b.data_len, space.stream,
+                            gpusim::HostMem::kPageable);
+  assert(h2d.ok());
+  ops.h2d = h2d.value();
+  if (cuda) host.wait(ops.h2d.task);
+  host.work(enq);
+  launch_hash_kernel(b, space);
+  host.work(enq);
+  auto digests = dev.memcpy_d2h(
+      sc.host.data(), sc.dev, std::max<std::uint64_t>(1, b.block_count * 20),
+      space.stream, gpusim::HostMem::kPageable);
+  assert(digests.ok());
+  ops.digests = digests.value();
+  return ops;
+}
+
+/// The FindMatch half of a batch on `space`: the kernel(s), one enqueue
+/// charge per read-back call to `host`, and the match read-back — one
+/// large copy, or the pre-fix one small latency-bound copy per block (part
+/// of why that form was "very poor"). Returns the last read-back.
+OpHandle enqueue_findmatch(ModeledHost& host, Space& space,
+                           const BatchCosts& b, const Fig5Config& config,
+                           double enq) {
+  Device& dev = *space.device;
+  ScratchBuffers& sc = *space.scratch;
+  launch_findmatch(b, space, config.dedup.lzss, config.batched_kernel);
+  host.work(enq * findmatch_calls(b, config.batched_kernel));
+  if (config.batched_kernel) {
+    auto r = dev.memcpy_d2h(
+        sc.host.data(), sc.dev,
+        std::max<std::uint64_t>(1, static_cast<std::uint64_t>(b.data_len) *
+                                       sizeof(kernels::LzssMatch)),
+        space.stream, gpusim::HostMem::kPageable);
+    assert(r.ok());
+    return r.value();
+  }
+  OpHandle last;
+  const auto& starts = b.start_pos;
+  for (std::size_t k = 0; k < starts.size(); ++k) {
+    std::uint64_t bs = starts[k];
+    std::uint64_t be = k + 1 < starts.size() ? starts[k + 1] : b.data_len;
+    std::uint64_t bytes =
+        std::max<std::uint64_t>(1, (be - bs) * sizeof(kernels::LzssMatch));
+    auto r = dev.memcpy_d2h(sc.host.data(), sc.dev, bytes, space.stream,
+                            gpusim::HostMem::kPageable);
+    assert(r.ok());
+    last = r.value();
+  }
+  return last;
 }
 
 }  // namespace
@@ -91,31 +287,37 @@ DedupTrace build_trace(std::span<const std::uint8_t> input,
 
 Fig5Result run_fig5(const DedupTrace& trace, const Fig5Config& config,
                     Fig5Backend backend) {
-  const HostProfile& host = config.host;
-  CpuCosts cpu(host);
-  const bool gpu = is_gpu(backend);
-  const bool cuda = is_cuda(backend);
-  const bool farm = backend == Fig5Backend::kSparCpu ||
-                    backend == Fig5Backend::kSparCuda ||
-                    backend == Fig5Backend::kSparOcl;
   // Single-thread GPU versions are single-GPU only (§IV-B: multi-GPU with
   // one thread "involves a lot of code refactoring, thus we chose for not
   // implementing it").
-  const int devices = farm ? std::max(1, config.devices) : 1;
+  const int gpus = !is_gpu(backend)    ? 0
+                   : is_farm(backend) ? std::max(1, config.devices)
+                                      : 1;
+  ClusterRunOptions options;
+  options.topo = cluster::single_host(gpus, config.device_spec);
+  return run_fig5(trace, config, backend, options);
+}
+
+Fig5Result run_fig5(const DedupTrace& trace, const Fig5Config& config,
+                    Fig5Backend backend, const ClusterRunOptions& options) {
+  const HostProfile& host = config.host;
+  const CpuCosts cpu(host);
+  const bool gpu = is_gpu(backend);
+  const bool cuda = is_cuda(backend);
+  const bool farm = is_farm(backend);
+  const bool adaptive =
+      farm && gpu && config.sched == sched::SchedMode::kAdaptive;
+  const int replicas = std::max(1, config.replicas);
   const int mem_spaces = std::max(1, config.mem_spaces);
   const double enq = cuda ? host.gpu_enqueue_overhead
                           : host.gpu_enqueue_overhead * 1.5;
   const double item_ovh = host.spar_item_overhead;
 
-  auto machine = Machine::Create(gpu ? devices : 0, config.device_spec);
-
-  // Copy behaviour (§V-B): Dedup's realloc'd buffers cannot be pinned.
-  // Both APIs therefore stage through pageable-speed transfers, but they
-  // differ in *who waits*: CUDA's cudaMemcpyAsync from pageable memory
-  // degrades to a synchronous copy (the issuing host thread blocks, so 2x
-  // memory spaces cannot help), while OpenCL's runtime stages
-  // asynchronously at the cost of heavier per-enqueue bookkeeping.
-  const gpusim::HostMem host_mem = gpusim::HostMem::kPageable;
+  ClusterReplay run(options, farm ? 3 + static_cast<std::size_t>(replicas)
+                                  : 1);
+  cluster::ClusterMachine& machine = run.machine();
+  cluster::Fabric& fabric = run.fabric();
+  const int N = machine.node_count();
 
   Fig5Result out;
   out.label = std::string(fig5_backend_name(backend));
@@ -123,59 +325,52 @@ Fig5Result run_fig5(const DedupTrace& trace, const Fig5Config& config,
   if (gpu && mem_spaces > 1) {
     out.label += " " + std::to_string(mem_spaces) + "x-mem";
   }
-  if (farm && gpu && devices > 1) {
-    out.label += " " + std::to_string(devices) + "gpu";
+  const int max_dev = run.max_node_devices();
+  if (farm && gpu && max_dev > 1) {
+    out.label += " " + std::to_string(max_dev) + "gpu";
   }
-  if (farm && gpu && config.sched == sched::SchedMode::kAdaptive) {
-    out.label += " adaptive";
-  }
+  if (adaptive) out.label += " adaptive";
 
-  ScratchBuffers scratch;
-
-  if (backend == Fig5Backend::kSequential) {
-    ModeledHost seq(machine.get(), "seq");
-    for (const BatchCosts& b : trace.batches) {
-      seq.work(cpu.frag(b) + cpu.hash(b) + cpu.dupcheck(b) + cpu.compress(b) +
-               cpu.write(b));
-    }
-    out.modeled_seconds = seq.finish_time();
-  } else if (backend == Fig5Backend::kSparCpu) {
-    // 19 workers do hashing and compression; fragmentation at the source,
-    // duplicate check serial, writer serial (the paper's CPU pipeline).
-    ModeledHost source(machine.get(), "source");
-    ModeledHost dup(machine.get(), "dupcheck");
-    ModeledHost writer(machine.get(), "writer");
-    std::vector<std::unique_ptr<ModeledHost>> workers;
-    for (int w = 0; w < std::max(1, config.replicas); ++w) {
-      workers.push_back(std::make_unique<ModeledHost>(
-          machine.get(), "worker" + std::to_string(w)));
-    }
-    for (std::size_t i = 0; i < trace.batches.size(); ++i) {
-      const BatchCosts& b = trace.batches[i];
-      des::TaskId emitted = source.work(cpu.frag(b) + item_ovh);
-      ModeledHost& worker = *workers[i % workers.size()];
-      des::TaskId hashed = worker.work_after(cpu.hash(b) + item_ovh, emitted);
-      des::TaskId checked = dup.work_after(cpu.dupcheck(b) + item_ovh, hashed);
-      des::TaskId compressed =
-          worker.work_after(cpu.compress(b) + item_ovh, checked);
-      writer.work_after(cpu.write(b) + item_ovh, compressed);
-    }
-    out.modeled_seconds = writer.finish_time();
-  } else if (backend == Fig5Backend::kCudaSingle ||
-             backend == Fig5Backend::kOclSingle) {
-    ModeledHost driver(machine.get(), "driver");
-    Device& dev = machine->device(0);
-    std::vector<Space> spaces(static_cast<std::size_t>(mem_spaces));
+  // Copy scratch per (node, device).
+  std::vector<std::vector<ScratchBuffers>> scratch(
+      static_cast<std::size_t>(N));
+  if (gpu) {
     std::uint32_t max_len = 0;
     for (const BatchCosts& b : trace.batches) {
       max_len = std::max(max_len, b.data_len);
     }
-    for (int s = 0; s < mem_spaces; ++s) {
-      spaces[static_cast<std::size_t>(s)].device = &dev;
-      spaces[static_cast<std::size_t>(s)].stream =
-          s == 0 ? dev.default_stream() : dev.create_stream();
+    for (int n = 0; n < N; ++n) {
+      gpusim::Machine& node = machine.node(n);
+      auto& node_scratch = scratch[static_cast<std::size_t>(n)];
+      node_scratch.resize(static_cast<std::size_t>(node.device_count()));
+      for (int d = 0; d < node.device_count(); ++d) {
+        node_scratch[static_cast<std::size_t>(d)].allocate(
+            node.device(d), static_cast<std::size_t>(max_len) * 5);
+      }
     }
-    scratch.ensure(dev, static_cast<std::size_t>(max_len) * 5);
+  }
+
+  if (backend == Fig5Backend::kSequential) {
+    ModeledHost seq(&run.node(0), "seq");
+    for (std::size_t i = 0; i < trace.batches.size(); ++i) {
+      const BatchCosts& b = trace.batches[i];
+      const double cost = cpu.frag(b) + cpu.hash(b) + cpu.dupcheck(b) +
+                          cpu.compress(b) + cpu.write(b);
+      seq.work(cost);
+      run.profile(0, i, cost);
+    }
+    out.modeled_seconds = seq.finish_time();
+  } else if (!farm) {
+    // One host thread drives one GPU through mem_spaces memory spaces.
+    ModeledHost driver(&run.node(0), "driver");
+    Device& dev = run.node(0).device(0);
+    std::vector<Space> spaces(static_cast<std::size_t>(mem_spaces));
+    for (std::size_t s = 0; s < spaces.size(); ++s) {
+      spaces[s].device = &dev;
+      spaces[s].stream = s == 0 ? dev.default_stream() : dev.create_stream();
+      spaces[s].scratch =
+          &scratch[static_cast<std::size_t>(run.node_of(0))][0];
+    }
 
     // Software-pipelined driver loop: phase A enqueues a batch's GPU work
     // onto its memory space; phase B (run when the space is next needed,
@@ -203,207 +398,239 @@ Fig5Result run_fig5(const DedupTrace& trace, const Fig5Config& config,
       // Phase A: fragment on the host, enqueue H2D + hash + digest
       // read-back + FindMatch + match read-back.
       driver.work(cpu.frag(b));
-      des::TaskId enq_t = driver.work(enq);
-      perfmodel::stream_wait_host(dev, space.stream, enq_t);
-      auto h2d = dev.memcpy_h2d(scratch.dev, scratch.host.data(), b.data_len,
-                                space.stream, host_mem);
-      assert(h2d.ok());
-      if (cuda) driver.wait(h2d.value().task);  // pageable => synchronous
-
       driver.work(enq);
-      launch_hash_kernel(b, space);
-      driver.work(enq);
-      auto d2h_digests = dev.memcpy_d2h(
-          scratch.host.data(), scratch.dev,
-          std::max<std::uint64_t>(1, b.block_count * 20), space.stream,
-          host_mem);
-      assert(d2h_digests.ok());
-      if (cuda) driver.wait(d2h_digests.value().task);
-
-      driver.work(enq *
-                  (config.batched_kernel
-                       ? 1.0
-                       : static_cast<double>(std::max<std::uint64_t>(
-                             1, b.block_count))));
-      launch_findmatch(b, space, config.dedup.lzss, config.batched_kernel);
-      OpHandle d2h_matches;
-      if (config.batched_kernel) {
-        driver.work(enq);
-        auto r = dev.memcpy_d2h(
-            scratch.host.data(), scratch.dev,
-            std::max<std::uint64_t>(1,
-                                    static_cast<std::uint64_t>(b.data_len) *
-                                        sizeof(kernels::LzssMatch)),
-            space.stream, host_mem);
-        assert(r.ok());
-        d2h_matches = r.value();
-      } else {
-        driver.work(enq * static_cast<double>(
-                              std::max<std::uint64_t>(1, b.block_count)));
-        d2h_matches = per_block_match_readback(b, space, scratch.dev,
-                                               scratch.host.data());
-      }
-      if (cuda) driver.wait(d2h_matches.task);
-      space.last_d2h = d2h_matches;
+      const HashOps hashed = enqueue_hash(driver, space, b, enq, cuda);
+      if (cuda) driver.wait(hashed.digests.task);
+      driver.work(enq * findmatch_calls(b, config.batched_kernel));
+      space.last_d2h = enqueue_findmatch(driver, space, b, config, enq);
+      if (cuda) driver.wait(space.last_d2h.task);
       pending[slot] = static_cast<int>(i);
     }
     // Drain remaining phase Bs in batch order.
     for (std::size_t i = 0; i < spaces.size(); ++i) {
-      std::size_t slot =
-          (trace.batches.size() + i) % spaces.size();
-      phase_b(slot);
+      phase_b((trace.batches.size() + i) % spaces.size());
     }
-    out.modeled_seconds = std::max(driver.finish_time(), machine->makespan());
+    out.modeled_seconds = std::max(driver.finish_time(), machine.makespan());
   } else {
-    // SPar + GPU (Fig. 3): source -> hash farm -> serial dup check ->
-    // compress farm -> writer. Each worker owns mem_spaces memory spaces
-    // on its round-robin device; an item's stream travels with it so the
-    // compress stage reuses the data already on the GPU.
-    ModeledHost source(machine.get(), "source");
-    ModeledHost dup(machine.get(), "dupcheck");
-    ModeledHost writer(machine.get(), "writer");
-    const int replicas = std::max(1, config.replicas);
-    std::vector<std::unique_ptr<ModeledHost>> hash_workers;
-    std::vector<std::unique_ptr<ModeledHost>> comp_workers;
-    for (int w = 0; w < replicas; ++w) {
-      hash_workers.push_back(std::make_unique<ModeledHost>(
-          machine.get(), "hash" + std::to_string(w)));
-      comp_workers.push_back(std::make_unique<ModeledHost>(
-          machine.get(), "comp" + std::to_string(w)));
-    }
-    // Memory spaces: one set per hash worker.
-    std::uint32_t max_len = 0;
-    for (const BatchCosts& b : trace.batches) {
-      max_len = std::max(max_len, b.data_len);
-    }
-    std::vector<std::vector<Space>> spaces(
-        static_cast<std::size_t>(replicas));
-    std::vector<ScratchBuffers> dev_scratch(
-        static_cast<std::size_t>(devices));
-    for (int d = 0; d < devices; ++d) {
-      dev_scratch[static_cast<std::size_t>(d)].ensure(
-          machine->device(d), static_cast<std::size_t>(max_len) * 5);
-    }
-    for (int w = 0; w < replicas; ++w) {
-      Device& dev = machine->device(w % devices);
-      for (int s = 0; s < mem_spaces; ++s) {
-        Space space;
-        space.device = &dev;
-        space.stream = dev.create_stream();
-        spaces[static_cast<std::size_t>(w)].push_back(space);
+    // The farms (Fig. 3 graph): source -> hash farm -> sharded dup check ->
+    // compress farm -> writer; each replica's host threads sit on its
+    // placement node and drive that node's GPUs.
+    const int src_node = run.node_of(0);
+    const int dup_node = run.node_of(1);
+    const int wr_node = run.node_of(2);
+    ModeledHost source(&run.node(0), "source");
+    ModeledHost dup(&run.node(1), "dupcheck");
+    ModeledHost writer(&run.node(2), "writer");
+
+    // Shard services: shard s lives on node s (owner = key % N). Only built
+    // for N > 1 — at one node every probe is local and charged to the dup
+    // engine itself.
+    std::vector<std::unique_ptr<ModeledHost>> shard_hosts;
+    if (N > 1) {
+      for (int n = 0; n < N; ++n) {
+        shard_hosts.push_back(
+            std::make_unique<ModeledHost>(&machine.node(n), "shard"));
       }
     }
-    // Adaptive dispatch sees one flat pool of every memory space on every
-    // device and routes each batch to the space whose in-flight d2h
-    // completes earliest (an idle space scores 0, so all spaces get primed
-    // before any is reused; strict < keeps ties on the lowest index).
-    // The replica's host thread still does the enqueueing — only the
-    // device binding becomes dynamic.
-    const bool adaptive = config.sched == sched::SchedMode::kAdaptive;
-    std::vector<Space*> pool;
-    if (adaptive) {
-      for (auto& ws : spaces) {
-        for (Space& s : ws) pool.push_back(&s);
+
+    /// Sharded duplicate check of batch `i` arriving at `arrived`.
+    auto sharded_check = [&](std::size_t i, const BatchCosts& b,
+                             des::TaskId arrived) -> des::TaskId {
+      if (N == 1) {
+        run.profile(1, i, cpu.dupcheck(b) + item_ovh);
+        return dup.work_after(cpu.dupcheck(b) + item_ovh, arrived);
       }
-    }
-    auto least_loaded = [&]() -> Space& {
-      std::size_t best = 0;
-      double best_t = pool[0]->last_d2h.valid()
-                          ? machine->finish_time(pool[0]->last_d2h.task)
-                          : 0.0;
-      for (std::size_t s = 1; s < pool.size(); ++s) {
-        double t = pool[s]->last_d2h.valid()
-                       ? machine->finish_time(pool[s]->last_d2h.task)
-                       : 0.0;
-        if (t < best_t) {
-          best = s;
-          best_t = t;
-        }
+      std::vector<std::uint64_t> counts(static_cast<std::size_t>(N), 0);
+      for (std::uint8_t key : b.shard_key) {
+        counts[key % static_cast<std::size_t>(N)] += 1;
       }
-      return *pool[best];
+      const double local =
+          static_cast<double>(counts[static_cast<std::size_t>(dup_node)]) *
+              host.seconds_per_dupcheck +
+          item_ovh;
+      run.profile(1, i, local);
+      dup.work_after(local, arrived);
+      for (int o = 0; o < N; ++o) {
+        const std::uint64_t k = counts[static_cast<std::size_t>(o)];
+        if (o == dup_node || k == 0) continue;
+        const auto h = static_cast<std::uint64_t>(fabric.hops(dup_node, o));
+        des::TaskId query = fabric.send(dup_node, o, kShardQueryBytes * k,
+                                        dup.tail(), "shard.query");
+        out.shard_bytes += kShardQueryBytes * k * h;
+        des::TaskId served =
+            shard_hosts[static_cast<std::size_t>(o)]->work_after(
+                static_cast<double>(k) * host.seconds_per_dupcheck, query);
+        des::TaskId resp = fabric.send(o, dup_node, kShardResponseBytes * k,
+                                       served, "shard.response");
+        out.shard_bytes += kShardResponseBytes * k * h;
+        dup.wait(resp);
+      }
+      return dup.tail();
     };
 
-    for (std::size_t i = 0; i < trace.batches.size(); ++i) {
-      const BatchCosts& b = trace.batches[i];
-      des::TaskId emitted = source.work(cpu.frag(b) + item_ovh);
-
-      const std::size_t w = i % static_cast<std::size_t>(replicas);
-      ModeledHost& hw = *hash_workers[w];
-      Space& space =
-          adaptive ? least_loaded()
-                   : spaces[w][(i / static_cast<std::size_t>(replicas)) %
-                               spaces[w].size()];
-      Device& dev = *space.device;
-      ScratchBuffers& sc =
-          dev_scratch[static_cast<std::size_t>(dev.index())];
-
-      if (space.last_d2h.valid()) hw.wait(space.last_d2h.task);
-      des::TaskId deps[1] = {emitted};
-      hw.work(item_ovh + enq, deps);
-      perfmodel::stream_wait_host(dev, space.stream, hw.tail());
-      auto h2d = dev.memcpy_h2d(sc.dev, sc.host.data(), b.data_len,
-                                space.stream, host_mem);
-      assert(h2d.ok());
-      if (cuda) hw.wait(h2d.value().task);
-      hw.work(enq);
-      launch_hash_kernel(b, space);
-      hw.work(enq);
-      auto d2h_digests = dev.memcpy_d2h(
-          sc.host.data(), sc.dev,
-          std::max<std::uint64_t>(1, b.block_count * 20), space.stream,
-          host_mem);
-      assert(d2h_digests.ok());
-      hw.wait(d2h_digests.value().task);
-
-      des::TaskId checked =
-          dup.work_after(cpu.dupcheck(b) + item_ovh, hw.tail());
-
-      // Compress farm: enqueue FindMatch on the item's stream (data is
-      // already on the device), read matches back, encode on the CPU.
-      ModeledHost& cw = *comp_workers[w];
-      des::TaskId cdeps[1] = {checked};
-      cw.work(item_ovh + enq * (config.batched_kernel
-                                    ? 1.0
-                                    : static_cast<double>(
-                                          std::max<std::uint64_t>(
-                                              1, b.block_count))),
-              cdeps);
-      perfmodel::stream_wait_host(dev, space.stream, cw.tail());
-      launch_findmatch(b, space, config.dedup.lzss, config.batched_kernel);
-      OpHandle d2h_matches;
-      if (config.batched_kernel) {
-        cw.work(enq);
-        auto r = dev.memcpy_d2h(
-            sc.host.data(), sc.dev,
-            std::max<std::uint64_t>(1,
-                                    static_cast<std::uint64_t>(b.data_len) *
-                                        sizeof(kernels::LzssMatch)),
-            space.stream, host_mem);
-        assert(r.ok());
-        d2h_matches = r.value();
-      } else {
-        cw.work(enq * static_cast<double>(
-                          std::max<std::uint64_t>(1, b.block_count)));
-        d2h_matches = per_block_match_readback(b, space, sc.dev,
-                                               sc.host.data());
+    if (!gpu) {
+      // 19 workers do hashing and compression; fragmentation at the
+      // source, duplicate check serial, writer serial (the paper's CPU
+      // pipeline).
+      std::vector<std::unique_ptr<ModeledHost>> workers;
+      for (int w = 0; w < replicas; ++w) {
+        workers.push_back(std::make_unique<ModeledHost>(
+            &run.node(3 + static_cast<std::size_t>(w)),
+            "worker" + std::to_string(w)));
       }
-      cw.wait(d2h_matches.task);
-      space.last_d2h = d2h_matches;
-      des::TaskId encoded = cw.work(cpu.encode_walk(b));
+      for (std::size_t i = 0; i < trace.batches.size(); ++i) {
+        const BatchCosts& b = trace.batches[i];
+        const std::size_t w = i % workers.size();
+        const int w_node = run.node_of(3 + w);
+        des::TaskId emitted = source.work(cpu.frag(b) + item_ovh);
+        run.profile(0, i, cpu.frag(b) + item_ovh);
+        des::TaskId arrived_w =
+            fabric.send(src_node, w_node, b.data_len, emitted, "batch");
+        des::TaskId hashed =
+            workers[w]->work_after(cpu.hash(b) + item_ovh, arrived_w);
+        des::TaskId arrived_d = fabric.send(
+            w_node, dup_node, 20 * b.block_count, hashed, "digests");
+        des::TaskId checked = sharded_check(i, b, arrived_d);
+        des::TaskId arrived_back = fabric.send(dup_node, w_node,
+                                               b.block_count, checked,
+                                               "decisions");
+        des::TaskId compressed =
+            workers[w]->work_after(cpu.compress(b) + item_ovh, arrived_back);
+        run.profile(3 + w, i, cpu.hash(b) + cpu.compress(b) + 2 * item_ovh);
+        des::TaskId arrived_wr = fabric.send(w_node, wr_node, b.output_bytes,
+                                             compressed, "archive");
+        writer.work_after(cpu.write(b) + item_ovh, arrived_wr);
+        run.profile(2, i, cpu.write(b) + item_ovh);
+      }
+      out.modeled_seconds = writer.finish_time();
+    } else {
+      // Each replica is a hash worker + a compress worker with mem_spaces
+      // memory spaces on one GPU of its node; an item's stream travels
+      // with it so the compress stage reuses the data already on the GPU.
+      std::vector<std::unique_ptr<ModeledHost>> hash_workers;
+      std::vector<std::unique_ptr<ModeledHost>> comp_workers;
+      // The replica's GPU: round-robin by the replica's rank on its node
+      // (w % devices on one node — the paper's binding).
+      std::vector<std::vector<Space>> spaces(
+          static_cast<std::size_t>(replicas));
+      std::vector<int> node_rank(static_cast<std::size_t>(N), 0);
+      for (std::size_t w = 0; w < spaces.size(); ++w) {
+        const int w_node = run.node_of(3 + w);
+        gpusim::Machine& node = run.node(3 + w);
+        hash_workers.push_back(std::make_unique<ModeledHost>(
+            &node, "hash" + std::to_string(w)));
+        comp_workers.push_back(std::make_unique<ModeledHost>(
+            &node, "comp" + std::to_string(w)));
+        assert(node.device_count() > 0 &&
+               "GPU farm worker placed on a node without GPUs");
+        const int d = node_rank[static_cast<std::size_t>(w_node)]++ %
+                      node.device_count();
+        Device& dev = node.device(d);
+        for (int s = 0; s < mem_spaces; ++s) {
+          Space space;
+          space.device = &dev;
+          space.stream = dev.create_stream();
+          space.scratch = &scratch[static_cast<std::size_t>(w_node)]
+                                  [static_cast<std::size_t>(d)];
+          spaces[w].push_back(space);
+        }
+        run.set_binding(3 + w, cluster::GpuBinding::kPerStage);
+      }
+      // Adaptive dispatch sees one pool per node — every memory space of
+      // every replica there — and routes each batch to the space whose
+      // in-flight d2h completes earliest (an idle space scores 0, so all
+      // spaces get primed before any is reused; strict < keeps ties on the
+      // lowest index). The replica's host threads still do the enqueueing
+      // — only the device binding becomes dynamic.
+      std::vector<std::vector<Space*>> pools(static_cast<std::size_t>(N));
+      if (adaptive) {
+        for (std::size_t w = 0; w < spaces.size(); ++w) {
+          for (Space& s : spaces[w]) {
+            pools[static_cast<std::size_t>(run.node_of(3 + w))].push_back(&s);
+          }
+        }
+      }
+      auto least_loaded = [&](const std::vector<Space*>& pool) -> Space& {
+        std::size_t best = 0;
+        double best_t = machine.finish_time(pool[0]->last_d2h.task);
+        for (std::size_t s = 1; s < pool.size(); ++s) {
+          const double t = machine.finish_time(pool[s]->last_d2h.task);
+          if (t < best_t) {
+            best = s;
+            best_t = t;
+          }
+        }
+        return *pool[best];
+      };
 
-      writer.work_after(cpu.write(b) + item_ovh, encoded);
+      for (std::size_t i = 0; i < trace.batches.size(); ++i) {
+        const BatchCosts& b = trace.batches[i];
+        des::TaskId emitted = source.work(cpu.frag(b) + item_ovh);
+        run.profile(0, i, cpu.frag(b) + item_ovh);
+
+        const std::size_t w = i % static_cast<std::size_t>(replicas);
+        const int w_node = run.node_of(3 + w);
+        ModeledHost& hw = *hash_workers[w];
+        Space& space =
+            adaptive ? least_loaded(pools[static_cast<std::size_t>(w_node)])
+                     : spaces[w][(i / static_cast<std::size_t>(replicas)) %
+                                 spaces[w].size()];
+        Device& dev = *space.device;
+        const double compute_before = dev.compute_busy_seconds();
+
+        des::TaskId arrived_w =
+            fabric.send(src_node, w_node, b.data_len, emitted, "batch");
+        if (space.last_d2h.valid()) hw.wait(space.last_d2h.task);
+        des::TaskId deps[1] = {arrived_w};
+        hw.work(item_ovh + enq, deps);
+        const HashOps hashed = enqueue_hash(hw, space, b, enq, cuda);
+        hw.wait(hashed.digests.task);
+
+        des::TaskId arrived_d = fabric.send(
+            w_node, dup_node, 20 * b.block_count, hw.tail(), "digests");
+        des::TaskId checked = sharded_check(i, b, arrived_d);
+        des::TaskId arrived_back = fabric.send(dup_node, w_node,
+                                               b.block_count, checked,
+                                               "decisions");
+
+        // Compress farm: enqueue FindMatch on the item's stream (data is
+        // already on the device), read matches back, encode on the CPU.
+        ModeledHost& cw = *comp_workers[w];
+        const double calls = findmatch_calls(b, config.batched_kernel);
+        des::TaskId cdeps[1] = {arrived_back};
+        cw.work(item_ovh + enq * calls, cdeps);
+        perfmodel::stream_wait_host(dev, space.stream, cw.tail());
+        space.last_d2h = enqueue_findmatch(cw, space, b, config, enq);
+        cw.wait(space.last_d2h.task);
+        des::TaskId encoded = cw.work(cpu.encode_walk(b));
+
+        if (run.profiling()) {
+          const double host_busy = item_ovh + 2 * enq +  // hash thread
+                                   item_ovh + cpu.encode_walk(b) +
+                                   2 * enq * calls;
+          run.profile(3 + w, i, host_busy,
+                      dev.compute_busy_seconds() - compute_before,
+                      run.task_seconds(hashed.h2d.task) +
+                          run.task_seconds(hashed.digests.task) +
+                          run.task_seconds(space.last_d2h.task));
+        }
+
+        des::TaskId arrived_wr = fabric.send(w_node, wr_node, b.output_bytes,
+                                             encoded, "archive");
+        writer.work_after(cpu.write(b) + item_ovh, arrived_wr);
+        run.profile(2, i, cpu.write(b) + item_ovh);
+      }
+      out.modeled_seconds =
+          std::max(writer.finish_time(), machine.makespan());
     }
-    out.modeled_seconds =
-        std::max(writer.finish_time(), machine->makespan());
   }
 
-  for (int d = 0; d < machine->device_count(); ++d) {
-    out.kernel_launches += machine->device(d).counters().kernels_launched;
-  }
-  out.throughput_mb_s = out.modeled_seconds > 0
-                            ? static_cast<double>(trace.input_bytes) / 1e6 /
-                                  out.modeled_seconds
-                            : 0;
+  out.kernel_launches = machine.kernel_launches();
+  out.throughput_mb_s =
+      out.modeled_seconds > 0
+          ? static_cast<double>(trace.input_bytes) / 1e6 / out.modeled_seconds
+          : 0;
+  run.finish(out);
   return out;
 }
 

@@ -13,6 +13,22 @@
 // issuing host thread (cudaMemcpyAsync degrades to synchronous), which is
 // why 2x memory spaces do not help CUDA; the OpenCL variants copy
 // asynchronously but pay higher per-enqueue overhead.
+//
+// Each variant is one loop over a cluster::ClusterMachine
+// (cluster/replay.hpp). run_fig5 without ClusterRunOptions runs it on
+// cluster::single_host with the GPUs the backend drives — the paper's
+// machine. With options, stage instances sit on the nodes their placement
+// names (Placement::node_of index):
+//   farms:                      [0]=source [1]=dupcheck [2]=writer
+//                               [3+w]=worker w
+//   sequential / single-thread: [0]=the one host thread
+// Batch payloads, digests, decisions and archive bytes cross nodes with
+// Fabric::send, each farm worker drives the GPUs of its own node, and the
+// duplicate check is sharded by content hash: block owner = digest lead
+// byte % nodes (BatchCosts::shard_key), shard s served by node s. The dup
+// stage probes its local shard for free and pays one fabric round trip
+// (24 B/block query, 16 B/block response) per remote owner per batch,
+// serialized on the owner's shard-service engine.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/replay.hpp"
 #include "dedup/stages.hpp"
 #include "gpusim/device.hpp"
 #include "perfmodel/host_model.hpp"
@@ -39,8 +56,7 @@ struct BatchCosts {
   std::uint64_t unique_bytes = 0;
   std::uint64_t output_bytes = 0;
   /// Leading digest byte per block, in block order. Content-hash routing key
-  /// for the cluster-sharded duplicate check (owner node = key % nodes);
-  /// unused by the single-host variants.
+  /// for the cluster-sharded duplicate check (owner node = key % nodes).
   std::vector<std::uint8_t> shard_key;
 };
 
@@ -85,19 +101,24 @@ struct Fig5Config {
   /// Device dispatch for the SPar+GPU variants. kStatic keeps the paper's
   /// per-replica round-robin device binding; kAdaptive sends each batch to
   /// the memory space whose device frees up earliest (least-loaded across
-  /// every device — DESIGN.md §4h). Single-thread and CPU variants ignore
-  /// this; static output is unchanged by the flag.
+  /// every device of the replica's node — DESIGN.md §4h). Single-thread and
+  /// CPU variants ignore this; static output is unchanged by the flag.
   sched::SchedMode sched = sched::SchedMode::kStatic;
 };
 
-struct Fig5Result {
+/// Fabric fields (cluster::ClusterRunResult) are zero on one node.
+struct Fig5Result : cluster::ClusterRunResult {
   std::string label;
   double modeled_seconds = 0;
   double throughput_mb_s = 0;  ///< input MB (decimal) per second
-  std::uint64_t kernel_launches = 0;
+  std::uint64_t kernel_launches = 0;  ///< summed over every node
 };
 
 Fig5Result run_fig5(const DedupTrace& trace, const Fig5Config& config,
                     Fig5Backend backend);
+/// `config.devices` is ignored here: each worker drives its node's GPUs.
+Fig5Result run_fig5(const DedupTrace& trace, const Fig5Config& config,
+                    Fig5Backend backend,
+                    const cluster::ClusterRunOptions& options);
 
 }  // namespace hs::dedup

@@ -11,7 +11,6 @@
 #include "flow/adapters.hpp"
 #include "kernels/simd/sha1_ni.hpp"
 #include "oclx/oclx.hpp"
-#include "serve/backoff.hpp"
 #include "spar/spar.hpp"
 #include "telemetry/span_recorder.hpp"
 
@@ -211,16 +210,9 @@ class CudaStageContext {
                    sched::DeviceLoadTracker* tracker = nullptr)
       : machine_(machine), replica_(replica_id), stats_(stats),
         policy_(policy), tracker_(tracker),
-        backoff_(serve::BackoffPolicy{policy.base_delay, policy.max_delay},
+        backoff_(BackoffPolicy{policy.base_delay, policy.max_delay},
                  0x646564757Aull + static_cast<std::uint64_t>(replica_id)) {}
 
-  /// Retry delay hook: decorrelated jitter, restarted per operation.
-  auto jitter_delay() {
-    return [this](int retry_index) {
-      if (retry_index == 0) backoff_.reset();
-      std::this_thread::sleep_for(backoff_.next());
-    };
-  }
 
   /// Runs `gpu_pass` (the complete per-batch device sequence, returning
   /// Status; must be idempotent) under the retry policy, migrating across
@@ -233,8 +225,8 @@ class CudaStageContext {
     }
     while (true) {
       (void)cudax::cudaSetDevice(device_);
-      Status s =
-          retry_status(policy_, stats_, label, gpu_pass, jitter_delay());
+      Status s = retry_status(policy_, stats_, label, gpu_pass,
+                              backoff_.delay_hook());
       if (s.ok() || s.code() != ErrorCode::kUnavailable) return s;
       // Device lost: its allocations are gone; migrate to a survivor.
       if (stats_ != nullptr) {
@@ -279,8 +271,8 @@ class CudaStageContext {
     const auto t0 = std::chrono::steady_clock::now();
     while (true) {
       (void)cudax::cudaSetDevice(device_);
-      Status s =
-          retry_status(policy_, stats_, label, gpu_pass, jitter_delay());
+      Status s = retry_status(policy_, stats_, label, gpu_pass,
+                              backoff_.delay_hook());
       if (s.ok()) {
         const std::chrono::duration<double> dt =
             std::chrono::steady_clock::now() - t0;
@@ -356,7 +348,8 @@ class CudaStageContext {
       const int d = gpusim::pick_surviving_device(*machine_, start);
       if (d < 0) return false;
       Status s = retry_status(policy_, stats_, "dedup.setup",
-                              [&] { return setup_on(d); }, jitter_delay());
+                              [&] { return setup_on(d); },
+                              backoff_.delay_hook());
       if (s.ok()) {
         device_ = d;
         ready_ = true;
@@ -394,7 +387,7 @@ class CudaStageContext {
   RetryStats* stats_;
   RetryPolicy policy_;
   sched::DeviceLoadTracker* tracker_ = nullptr;
-  serve::BackoffSequence backoff_;
+  BackoffSequence backoff_;
   int device_ = -1;
   int stream_device_ = -1;  ///< device the live stream_ was created on
   bool ready_ = false;

@@ -10,6 +10,17 @@
 // Every runner renders the full image and returns its checksum; all
 // variants must agree bit-for-bit (asserted by tests and the benches).
 //
+// Each variant is one loop over a cluster::ClusterMachine
+// (cluster/replay.hpp). The overloads without ClusterRunOptions run it on
+// cluster::single_host with the config's devices — the paper's machine.
+// With options, stage instances sit on the nodes their placement names
+// (Placement::node_of index):
+//   pipeline / combined: [0]=source  [1]=sink/collector  [2+w]=worker w
+//   sequential:          [0]=the one host thread
+// and an item crossing nodes pays a Fabric::send: a 64-byte descriptor to
+// the worker, the rendered lines to the sink. Workers drive the GPUs of
+// their own node.
+//
 // The CUDA and OpenCL paths share the scheduling code (the paper measured
 // them within ~2% everywhere); they differ by the per-call API overhead
 // charged and the reported label. The API shims themselves (cudax/oclx) are
@@ -19,6 +30,7 @@
 
 #include <string>
 
+#include "cluster/replay.hpp"
 #include "gpusim/device.hpp"
 #include "mandel/iteration_map.hpp"
 #include "perfmodel/host_model.hpp"
@@ -69,24 +81,31 @@ struct ModeledConfig {
   std::string trace_path;
 };
 
-struct RunResult {
+/// Fabric fields (cluster::ClusterRunResult) are zero on one node.
+struct RunResult : cluster::ClusterRunResult {
   std::string label;
   double modeled_seconds = 0;
   std::uint64_t checksum = 0;
-  std::uint64_t kernel_launches = 0;
-  double gpu_compute_utilization = 0;  ///< device 0 compute busy / makespan
+  std::uint64_t kernel_launches = 0;  ///< summed over every node
+  /// Compute busy / makespan of device 0 of the first node with a GPU.
+  double gpu_compute_utilization = 0;
   /// Batch size the AIMD sizer converged to; 0 under SchedMode::kStatic.
   std::uint64_t adaptive_batch_lines = 0;
 };
 
 /// The sequential baseline (the paper's 400 s reference).
 RunResult run_sequential(const IterationMap& map, const ModeledConfig& cfg);
+RunResult run_sequential(const IterationMap& map, const ModeledConfig& cfg,
+                         const cluster::ClusterRunOptions& options);
 
 /// CPU-only pipeline: source -> replicated compute stage -> ordered sink.
 /// kTbb additionally applies the live-token cap and steal-style (earliest
 /// worker) scheduling; kSpar/kFastFlow use round-robin.
 RunResult run_cpu_pipeline(const IterationMap& map, const ModeledConfig& cfg,
                            CpuModel model);
+RunResult run_cpu_pipeline(const IterationMap& map, const ModeledConfig& cfg,
+                           CpuModel model,
+                           const cluster::ClusterRunOptions& options);
 
 /// Single-host-thread GPU version (the paper's CUDA/OpenCL-only bars).
 RunResult run_gpu_single_thread(const IterationMap& map,
@@ -99,5 +118,8 @@ RunResult run_gpu_single_thread(const IterationMap& map,
 /// combined versions.
 RunResult run_combined(const IterationMap& map, const ModeledConfig& cfg,
                        CpuModel model, GpuApi api);
+RunResult run_combined(const IterationMap& map, const ModeledConfig& cfg,
+                       CpuModel model, GpuApi api,
+                       const cluster::ClusterRunOptions& options);
 
 }  // namespace hs::mandel

@@ -9,7 +9,6 @@
 #include "flow/adapters.hpp"
 #include "flow/pipeline.hpp"
 #include "oclx/oclx.hpp"
-#include "serve/backoff.hpp"
 #include "spar/spar.hpp"
 #include "taskx/pipeline.hpp"
 #include "taskx/pool.hpp"
@@ -159,8 +158,8 @@ class CudaLineWorker final : public flow::Node {
     replica_ = replica_id;
     // Per-replica jitter stream: decorrelated retry delays so replicas that
     // hit the same fault burst do not re-collide in lockstep.
-    backoff_ = serve::BackoffSequence(
-        serve::BackoffPolicy{policy_.base_delay, policy_.max_delay},
+    backoff_ = BackoffSequence(
+        BackoffPolicy{policy_.base_delay, policy_.max_delay},
         0x6d616e64656cull + static_cast<std::uint64_t>(replica_id));
     // Adaptive mode defers device choice to the tracker on the first item;
     // static mode keeps the paper's per-replica round-robin binding.
@@ -194,13 +193,6 @@ class CudaLineWorker final : public flow::Node {
   }
 
  private:
-  /// Retry delay hook: decorrelated jitter, restarted per operation.
-  auto jitter_delay() {
-    return [this](int retry_index) {
-      if (retry_index == 0) backoff_.reset();
-      std::this_thread::sleep_for(backoff_.next());
-    };
-  }
 
   Status render_line(Line& line) {
     if (tracker_ != nullptr) return render_line_adaptive(line);
@@ -210,7 +202,7 @@ class CudaLineWorker final : public flow::Node {
     while (true) {
       Status s = retry_status(policy_, stats_, "mandel.line",
                               [&] { return gpu_line_once(line); },
-                              jitter_delay());
+                              backoff_.delay_hook());
       if (s.ok() || s.code() != ErrorCode::kUnavailable) return s;
       // The device died under us: drop it and migrate. pick_surviving_device
       // skips lost devices, so this loop visits each device at most once.
@@ -248,7 +240,7 @@ class CudaLineWorker final : public flow::Node {
     while (true) {
       Status s = retry_status(policy_, stats_, "mandel.line",
                               [&] { return gpu_line_once(line); },
-                              jitter_delay());
+                              backoff_.delay_hook());
       if (s.ok()) {
         const std::chrono::duration<double> dt =
             std::chrono::steady_clock::now() - t0;
@@ -346,7 +338,8 @@ class CudaLineWorker final : public flow::Node {
       const int d = gpusim::pick_surviving_device(*machine_, start);
       if (d < 0) return false;
       Status s = retry_status(policy_, stats_, "mandel.setup",
-                              [&] { return setup_on(d); }, jitter_delay());
+                              [&] { return setup_on(d); },
+                              backoff_.delay_hook());
       if (s.ok()) {
         device_ = d;
         gpu_ready_ = true;
@@ -386,7 +379,7 @@ class CudaLineWorker final : public flow::Node {
   RetryStats* stats_;
   RetryPolicy policy_;
   sched::DeviceLoadTracker* tracker_ = nullptr;
-  serve::BackoffSequence backoff_;
+  BackoffSequence backoff_;
   int replica_ = 0;
   int device_ = -1;
   int stream_device_ = -1;  ///< device the live stream_ was created on

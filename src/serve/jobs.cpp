@@ -253,7 +253,7 @@ JobResult JobEngine::run(const JobRequest& req) {
     const auto t0 = std::chrono::steady_clock::now();
     Status s = retry_status(policy_, stats_, "serve.job",
                             [&] { return gpu_once(d, req, result); },
-                            jitter_delay());
+                            backoff_.delay_hook());
     if (s.ok()) {
       breakers_->device(d).on_success();
       if (tracker_ != nullptr) {

@@ -21,7 +21,6 @@
 #include "gpusim/device.hpp"
 #include "kernels/mandel.hpp"
 #include "sched/sched.hpp"
-#include "serve/backoff.hpp"
 #include "serve/breaker.hpp"
 
 namespace hs::serve {
@@ -81,13 +80,6 @@ class JobEngine {
   Status mandel_once(int device, const JobRequest& req, JobResult& result);
   Status dedup_once(int device, const JobRequest& req, JobResult& result);
   void run_cpu(const JobRequest& req, JobResult& result);
-
-  auto jitter_delay() {
-    return [this](int retry_index) {
-      if (retry_index == 0) backoff_.reset();
-      std::this_thread::sleep_for(backoff_.next());
-    };
-  }
 
   gpusim::Machine* machine_;
   BreakerBoard* breakers_;

@@ -1,7 +1,8 @@
 // Unit tests for the cluster layer: topology parsing/validation, fabric
 // link contention against analytic oracles, content-hash sharded dup
-// lookup, stage placement, and the load-bearing 1-node guarantee — the
-// cluster runners reproduce the single-host modeled numbers bit for bit.
+// lookup, stage placement, the makespan estimator, and golden pins of
+// multi-node runs. (The 1-node runs are the single-host runners; their
+// pins live in mandel_test and dedup_test.)
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -89,6 +90,22 @@ TEST(TopologyTest, RejectsSelfLinkAndDuplicateNode) {
   EXPECT_FALSE(parse_topology("node a\nnode a\n").ok());
   EXPECT_FALSE(parse_topology("").ok());
   EXPECT_FALSE(parse_topology("node a cores=0\n").ok());
+}
+
+TEST(TopologyTest, RejectsNodeWithoutPathOfLinks) {
+  // Two nodes and no link: nothing can route between them.
+  auto topo = parse_topology(
+      "node a cores=20 gpus=2\n"
+      "node b cores=20 gpus=2\n");
+  ASSERT_FALSE(topo.ok());
+  EXPECT_NE(topo.status().ToString().find("'b'"), std::string::npos)
+      << topo.status().ToString();
+  // A link between two of three nodes still strands the third.
+  topo = parse_topology(
+      "node a\nnode b\nnode c\nlink a b bw=1GB lat=1us\n");
+  ASSERT_FALSE(topo.ok());
+  EXPECT_NE(topo.status().ToString().find("'c'"), std::string::npos)
+      << topo.status().ToString();
 }
 
 TEST(TopologyTest, RoutesChainMultiHop) {
@@ -314,7 +331,7 @@ TEST(PlacementTest, GreedyBeatsRoundRobinOnDedupGraph) {
   EXPECT_LT(greedy, rr);
 }
 
-// ---- Cluster runners: 1-node bit-equality and estimator pin ----------
+// ---- Cluster runners: estimator pin ----------------------------------
 
 dedup::DedupTrace small_trace(dedup::Fig5Config& cfg) {
   datagen::CorpusSpec spec;
@@ -328,59 +345,6 @@ dedup::DedupTrace small_trace(dedup::Fig5Config& cfg) {
   return dedup::build_trace(input, cfg.dedup);
 }
 
-TEST(ClusterRunnerTest, OneNodeDedupBitIdentical) {
-  dedup::Fig5Config cfg;
-  dedup::DedupTrace trace = small_trace(cfg);
-  ClusterRunOptions opts;
-  opts.topo = full_mesh(1, 2, cfg.device_spec, 1e9, 1e-6);
-  for (auto backend :
-       {dedup::Fig5Backend::kSequential, dedup::Fig5Backend::kSparCpu,
-        dedup::Fig5Backend::kSparCuda, dedup::Fig5Backend::kSparOcl}) {
-    dedup::Fig5Result host = dedup::run_fig5(trace, cfg, backend);
-    ClusterRunResult one = run_fig5_cluster(trace, cfg, backend, opts);
-    EXPECT_EQ(host.label, one.label);
-    EXPECT_EQ(host.modeled_seconds, one.modeled_seconds)  // exact, not near
-        << host.label;
-    EXPECT_EQ(host.throughput_mb_s, one.throughput_mb_s);
-    EXPECT_EQ(host.kernel_launches, one.kernel_launches);
-    EXPECT_EQ(one.fabric_bytes, 0u);
-  }
-}
-
-TEST(ClusterRunnerTest, OneNodeMandelBitIdentical) {
-  kernels::MandelParams p;
-  p.dim = 64;
-  p.niter = 500;
-  mandel::IterationMap map = mandel::IterationMap::compute(p);
-  mandel::ModeledConfig cfg;
-  cfg.batch_lines = 8;
-  cfg.devices = 2;
-  cfg.combined_workers = 4;
-  cfg.cpu_workers = 5;
-  ClusterRunOptions opts;
-  opts.topo = full_mesh(1, 2, cfg.device_spec, 1e9, 1e-6);
-
-  mandel::RunResult seq = mandel::run_sequential(map, cfg);
-  ClusterRunResult seq1 = run_mandel_sequential_cluster(map, cfg, opts);
-  EXPECT_EQ(seq.modeled_seconds, seq1.modeled_seconds);
-  EXPECT_EQ(seq.checksum, seq1.checksum);
-
-  mandel::RunResult cpu =
-      mandel::run_cpu_pipeline(map, cfg, mandel::CpuModel::kSpar);
-  ClusterRunResult cpu1 = run_mandel_cpu_cluster(map, cfg, opts);
-  EXPECT_EQ(cpu.modeled_seconds, cpu1.modeled_seconds);
-  EXPECT_EQ(cpu.checksum, cpu1.checksum);
-
-  mandel::RunResult comb = mandel::run_combined(
-      map, cfg, mandel::CpuModel::kSpar, mandel::GpuApi::kCuda);
-  ClusterRunResult comb1 =
-      run_mandel_combined_cluster(map, cfg, mandel::GpuApi::kCuda, opts);
-  EXPECT_EQ(comb.label, comb1.label);
-  EXPECT_EQ(comb.modeled_seconds, comb1.modeled_seconds);
-  EXPECT_EQ(comb.checksum, comb1.checksum);
-  EXPECT_EQ(comb.kernel_launches, comb1.kernel_launches);
-}
-
 TEST(ClusterRunnerTest, EstimatorMatchesFabricBytesExactly) {
   dedup::Fig5Config cfg;
   dedup::DedupTrace trace = small_trace(cfg);
@@ -392,8 +356,8 @@ TEST(ClusterRunnerTest, EstimatorMatchesFabricBytesExactly) {
       ClusterRunOptions opts;
       opts.topo = topo;
       opts.placement = placement;
-      ClusterRunResult r = run_fig5_cluster(
-          trace, cfg, dedup::Fig5Backend::kSparCuda, opts);
+      const auto r =
+          run_fig5_cluster(trace, cfg, dedup::Fig5Backend::kSparCuda, opts);
       EXPECT_EQ(r.fabric_bytes - r.shard_bytes,
                 predicted_cross_bytes(g, placement, topo))
           << nodes << " nodes";
@@ -415,8 +379,8 @@ TEST(ClusterRunnerTest, MultiNodeRunIsSlowerThanFreeTraffic) {
     opts.placement = place_round_robin(g, opts.topo);
     return run_fig5_cluster(trace, cfg, dedup::Fig5Backend::kSparCuda, opts);
   };
-  ClusterRunResult slow = run_at_bw(1e8);   // 100 MB/s links
-  ClusterRunResult fast = run_at_bw(1e12);  // ~free links
+  const auto slow = run_at_bw(1e8);   // 100 MB/s links
+  const auto fast = run_at_bw(1e12);  // ~free links
   EXPECT_GT(slow.modeled_seconds, fast.modeled_seconds);
 }
 
@@ -430,7 +394,7 @@ TEST(ClusterRunnerTest, ExportsTraceAndTelemetry) {
   opts.placement = place_round_robin(g, opts.topo);
   opts.registry = &reg;
   opts.trace_path = ::testing::TempDir() + "/cluster_trace.json";
-  ClusterRunResult r =
+  const auto r =
       run_fig5_cluster(trace, cfg, dedup::Fig5Backend::kSparCuda, opts);
   EXPECT_GT(r.fabric_bytes, 0u);
   EXPECT_EQ(reg.counter("cluster.fabric.bytes")->value(), r.fabric_bytes);
@@ -486,7 +450,7 @@ TEST(MakespanTest, EstimatorPinsDesWithinFactorOnDedup) {
       ClusterRunOptions opts;
       opts.topo = topo;
       opts.placement = placement;
-      const ClusterRunResult r = run_fig5_cluster(
+      const auto r = run_fig5_cluster(
           d.trace, d.cfg, dedup::Fig5Backend::kSparCuda, opts);
       const double e = est.estimate(placement);
       EXPECT_LE(r.modeled_seconds, e * kEstimatorPinFactor)
@@ -523,7 +487,7 @@ TEST(MakespanTest, EstimatorPinsDesWithinFactorOnMandel) {
       ClusterRunOptions opts;
       opts.topo = topo;
       opts.placement = placement;
-      const ClusterRunResult r =
+      const auto r =
           run_mandel_combined_cluster(map, cfg, mandel::GpuApi::kCuda, opts);
       const double e = est.estimate(placement);
       EXPECT_LE(r.modeled_seconds, e * kEstimatorPinFactor)
