@@ -1,8 +1,36 @@
 #include "cluster/modeled.hpp"
 
 #include <algorithm>
+#include <map>
+#include <utility>
 
 namespace hs::cluster {
+
+namespace {
+
+/// Per-edge totals of item hand-offs; the edges that carry bytes become
+/// the graph's edges in (from, to) order.
+class EdgeTotals {
+ public:
+  void add(std::size_t from, std::size_t to, std::uint64_t bytes) {
+    StageEdge& e = edges_[{from, to}];
+    e.from = static_cast<int>(from);
+    e.to = static_cast<int>(to);
+    e.bytes += bytes;
+    e.transfers += 1;
+  }
+
+  void emit(StageGraph& g) const {
+    for (const auto& [key, edge] : edges_) {
+      if (edge.bytes > 0) g.edges.push_back(edge);
+    }
+  }
+
+ private:
+  std::map<std::pair<std::size_t, std::size_t>, StageEdge> edges_;
+};
+
+}  // namespace
 
 StageGraph dedup_stage_graph(const dedup::DedupTrace& trace, int replicas,
                              bool workers_need_gpu) {
@@ -18,31 +46,16 @@ StageGraph dedup_stage_graph(const dedup::DedupTrace& trace, int replicas,
                         workers_need_gpu ? 2 : 1});
   }
 
-  const std::size_t n = g.stages.size();
-  std::vector<std::vector<std::uint64_t>> acc(
-      n, std::vector<std::uint64_t>(n, 0));
-  std::vector<std::vector<std::uint64_t>> xfer(
-      n, std::vector<std::uint64_t>(n, 0));
+  EdgeTotals totals;
   for (std::size_t i = 0; i < trace.batches.size(); ++i) {
     const dedup::BatchCosts& b = trace.batches[i];
     const std::size_t w = 3 + i % static_cast<std::size_t>(R);
-    acc[0][w] += b.data_len;                  // batch payload to the worker
-    acc[w][1] += 20 * b.block_count;          // digests to the dup check
-    acc[1][w] += b.block_count;               // decisions back
-    acc[w][2] += b.output_bytes;              // archive bytes to the writer
-    xfer[0][w] += 1;
-    xfer[w][1] += 1;
-    xfer[1][w] += 1;
-    xfer[w][2] += 1;
+    totals.add(0, w, b.data_len);          // batch payload to the worker
+    totals.add(w, 1, 20 * b.block_count);  // digests to the dup check
+    totals.add(1, w, b.block_count);       // decisions back
+    totals.add(w, 2, b.output_bytes);      // archive bytes to the writer
   }
-  for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = 0; b < n; ++b) {
-      if (acc[a][b] > 0) {
-        g.edges.push_back({static_cast<int>(a), static_cast<int>(b),
-                           acc[a][b], xfer[a][b]});
-      }
-    }
-  }
+  totals.emit(g);
   return g;
 }
 
@@ -57,29 +70,17 @@ StageGraph mandel_stage_graph(int dim, int batch_lines, int workers,
     g.stages.push_back({"worker" + std::to_string(w), workers_need_gpu, -1,
                         1});
   }
-  const std::size_t n = g.stages.size();
-  std::vector<std::vector<std::uint64_t>> acc(
-      n, std::vector<std::uint64_t>(n, 0));
-  std::vector<std::vector<std::uint64_t>> xfer(
-      n, std::vector<std::uint64_t>(n, 0));
+  EdgeTotals totals;
   const int nbatches = (dim + batch - 1) / batch;
   for (int b = 0; b < nbatches; ++b) {
     const std::size_t w = 2 + static_cast<std::size_t>(b % W);
     const int count = std::min(batch, dim - b * batch);
-    acc[0][w] += kDescriptorBytes;
-    acc[w][1] += static_cast<std::uint64_t>(count) *
-                 static_cast<std::uint64_t>(dim);
-    xfer[0][w] += 1;
-    xfer[w][1] += 1;
+    totals.add(0, w, kDescriptorBytes);
+    totals.add(w, 1,
+               static_cast<std::uint64_t>(count) *
+                   static_cast<std::uint64_t>(dim));
   }
-  for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = 0; b < n; ++b) {
-      if (acc[a][b] > 0) {
-        g.edges.push_back({static_cast<int>(a), static_cast<int>(b),
-                           acc[a][b], xfer[a][b]});
-      }
-    }
-  }
+  totals.emit(g);
   return g;
 }
 

@@ -413,8 +413,9 @@ Fig5Result run_fig5(const DedupTrace& trace, const Fig5Config& config,
     out.modeled_seconds = std::max(driver.finish_time(), machine.makespan());
   } else {
     // The farms (Fig. 3 graph): source -> hash farm -> sharded dup check ->
-    // compress farm -> writer; each replica's host threads sit on its
-    // placement node and drive that node's GPUs.
+    // compress farm -> writer. The SPar CPU farm (19 replicas in the paper)
+    // hashes and compresses on the host; the SPar+GPU farms offload both to
+    // the GPUs of each replica's node.
     const int src_node = run.node_of(0);
     const int dup_node = run.node_of(1);
     const int wr_node = run.node_of(2);
@@ -468,142 +469,118 @@ Fig5Result run_fig5(const DedupTrace& trace, const Fig5Config& config,
       return dup.tail();
     };
 
-    if (!gpu) {
-      // 19 workers do hashing and compression; fragmentation at the
-      // source, duplicate check serial, writer serial (the paper's CPU
-      // pipeline).
-      std::vector<std::unique_ptr<ModeledHost>> workers;
-      for (int w = 0; w < replicas; ++w) {
-        workers.push_back(std::make_unique<ModeledHost>(
-            &run.node(3 + static_cast<std::size_t>(w)),
-            "worker" + std::to_string(w)));
+    // Replica w: the CPU farm's one thread hashes and compresses; a GPU
+    // replica is a hash thread + a compress thread with mem_spaces memory
+    // spaces on one GPU of its node, round-robin by the replica's rank on
+    // that node (w % devices on one node — the paper's binding). An item's
+    // stream travels with it so the compress stage reuses the data already
+    // on the GPU.
+    std::vector<std::unique_ptr<ModeledHost>> hash_workers;
+    std::vector<std::unique_ptr<ModeledHost>> comp_workers;
+    std::vector<std::vector<Space>> spaces(static_cast<std::size_t>(replicas));
+    std::vector<int> node_rank(static_cast<std::size_t>(N), 0);
+    for (std::size_t w = 0; w < spaces.size(); ++w) {
+      const int w_node = run.node_of(3 + w);
+      gpusim::Machine& node = run.node(3 + w);
+      if (!gpu) {
+        hash_workers.push_back(
+            std::make_unique<ModeledHost>(&node, "worker" + std::to_string(w)));
+        continue;
       }
-      for (std::size_t i = 0; i < trace.batches.size(); ++i) {
-        const BatchCosts& b = trace.batches[i];
-        const std::size_t w = i % workers.size();
-        const int w_node = run.node_of(3 + w);
-        des::TaskId emitted = source.work(cpu.frag(b) + item_ovh);
-        run.profile(0, i, cpu.frag(b) + item_ovh);
-        des::TaskId arrived_w =
-            fabric.send(src_node, w_node, b.data_len, emitted, "batch");
-        des::TaskId hashed =
-            workers[w]->work_after(cpu.hash(b) + item_ovh, arrived_w);
-        des::TaskId arrived_d = fabric.send(
-            w_node, dup_node, 20 * b.block_count, hashed, "digests");
-        des::TaskId checked = sharded_check(i, b, arrived_d);
-        des::TaskId arrived_back = fabric.send(dup_node, w_node,
-                                               b.block_count, checked,
-                                               "decisions");
-        des::TaskId compressed =
-            workers[w]->work_after(cpu.compress(b) + item_ovh, arrived_back);
-        run.profile(3 + w, i, cpu.hash(b) + cpu.compress(b) + 2 * item_ovh);
-        des::TaskId arrived_wr = fabric.send(w_node, wr_node, b.output_bytes,
-                                             compressed, "archive");
-        writer.work_after(cpu.write(b) + item_ovh, arrived_wr);
-        run.profile(2, i, cpu.write(b) + item_ovh);
+      hash_workers.push_back(
+          std::make_unique<ModeledHost>(&node, "hash" + std::to_string(w)));
+      comp_workers.push_back(
+          std::make_unique<ModeledHost>(&node, "comp" + std::to_string(w)));
+      assert(node.device_count() > 0 &&
+             "GPU farm worker placed on a node without GPUs");
+      const int d = node_rank[static_cast<std::size_t>(w_node)]++ %
+                    node.device_count();
+      Device& dev = node.device(d);
+      for (int s = 0; s < mem_spaces; ++s) {
+        Space space;
+        space.device = &dev;
+        space.stream = dev.create_stream();
+        space.scratch = &scratch[static_cast<std::size_t>(w_node)]
+                                [static_cast<std::size_t>(d)];
+        spaces[w].push_back(space);
       }
-      out.modeled_seconds = writer.finish_time();
-    } else {
-      // Each replica is a hash worker + a compress worker with mem_spaces
-      // memory spaces on one GPU of its node; an item's stream travels
-      // with it so the compress stage reuses the data already on the GPU.
-      std::vector<std::unique_ptr<ModeledHost>> hash_workers;
-      std::vector<std::unique_ptr<ModeledHost>> comp_workers;
-      // The replica's GPU: round-robin by the replica's rank on its node
-      // (w % devices on one node — the paper's binding).
-      std::vector<std::vector<Space>> spaces(
-          static_cast<std::size_t>(replicas));
-      std::vector<int> node_rank(static_cast<std::size_t>(N), 0);
+      run.set_binding(3 + w, cluster::GpuBinding::kPerStage);
+    }
+    // Adaptive dispatch sees one pool per node — every memory space of
+    // every replica there — and routes each batch to the space whose
+    // in-flight d2h completes earliest (an idle space scores 0, so all
+    // spaces get primed before any is reused; strict < keeps ties on the
+    // lowest index). The replica's host threads still do the enqueueing —
+    // only the device binding becomes dynamic.
+    std::vector<std::vector<Space*>> pools(static_cast<std::size_t>(N));
+    if (adaptive) {
       for (std::size_t w = 0; w < spaces.size(); ++w) {
-        const int w_node = run.node_of(3 + w);
-        gpusim::Machine& node = run.node(3 + w);
-        hash_workers.push_back(std::make_unique<ModeledHost>(
-            &node, "hash" + std::to_string(w)));
-        comp_workers.push_back(std::make_unique<ModeledHost>(
-            &node, "comp" + std::to_string(w)));
-        assert(node.device_count() > 0 &&
-               "GPU farm worker placed on a node without GPUs");
-        const int d = node_rank[static_cast<std::size_t>(w_node)]++ %
-                      node.device_count();
-        Device& dev = node.device(d);
-        for (int s = 0; s < mem_spaces; ++s) {
-          Space space;
-          space.device = &dev;
-          space.stream = dev.create_stream();
-          space.scratch = &scratch[static_cast<std::size_t>(w_node)]
-                                  [static_cast<std::size_t>(d)];
-          spaces[w].push_back(space);
-        }
-        run.set_binding(3 + w, cluster::GpuBinding::kPerStage);
-      }
-      // Adaptive dispatch sees one pool per node — every memory space of
-      // every replica there — and routes each batch to the space whose
-      // in-flight d2h completes earliest (an idle space scores 0, so all
-      // spaces get primed before any is reused; strict < keeps ties on the
-      // lowest index). The replica's host threads still do the enqueueing
-      // — only the device binding becomes dynamic.
-      std::vector<std::vector<Space*>> pools(static_cast<std::size_t>(N));
-      if (adaptive) {
-        for (std::size_t w = 0; w < spaces.size(); ++w) {
-          for (Space& s : spaces[w]) {
-            pools[static_cast<std::size_t>(run.node_of(3 + w))].push_back(&s);
-          }
+        for (Space& s : spaces[w]) {
+          pools[static_cast<std::size_t>(run.node_of(3 + w))].push_back(&s);
         }
       }
-      auto least_loaded = [&](const std::vector<Space*>& pool) -> Space& {
-        std::size_t best = 0;
-        double best_t = machine.finish_time(pool[0]->last_d2h.task);
-        for (std::size_t s = 1; s < pool.size(); ++s) {
-          const double t = machine.finish_time(pool[s]->last_d2h.task);
-          if (t < best_t) {
-            best = s;
-            best_t = t;
-          }
+    }
+    auto pick_space = [&](std::size_t i, std::size_t w) -> Space& {
+      if (!adaptive) {
+        return spaces[w][(i / static_cast<std::size_t>(replicas)) %
+                         spaces[w].size()];
+      }
+      const auto& pool = pools[static_cast<std::size_t>(run.node_of(3 + w))];
+      std::size_t best = 0;
+      double best_t = machine.finish_time(pool[0]->last_d2h.task);
+      for (std::size_t s = 1; s < pool.size(); ++s) {
+        const double t = machine.finish_time(pool[s]->last_d2h.task);
+        if (t < best_t) {
+          best = s;
+          best_t = t;
         }
-        return *pool[best];
-      };
+      }
+      return *pool[best];
+    };
 
-      for (std::size_t i = 0; i < trace.batches.size(); ++i) {
-        const BatchCosts& b = trace.batches[i];
-        des::TaskId emitted = source.work(cpu.frag(b) + item_ovh);
-        run.profile(0, i, cpu.frag(b) + item_ovh);
+    for (std::size_t i = 0; i < trace.batches.size(); ++i) {
+      const BatchCosts& b = trace.batches[i];
+      des::TaskId emitted = source.work(cpu.frag(b) + item_ovh);
+      run.profile(0, i, cpu.frag(b) + item_ovh);
 
-        const std::size_t w = i % static_cast<std::size_t>(replicas);
-        const int w_node = run.node_of(3 + w);
-        ModeledHost& hw = *hash_workers[w];
-        Space& space =
-            adaptive ? least_loaded(pools[static_cast<std::size_t>(w_node)])
-                     : spaces[w][(i / static_cast<std::size_t>(replicas)) %
-                                 spaces[w].size()];
-        Device& dev = *space.device;
-        const double compute_before = dev.compute_busy_seconds();
-
-        des::TaskId arrived_w =
-            fabric.send(src_node, w_node, b.data_len, emitted, "batch");
-        if (space.last_d2h.valid()) hw.wait(space.last_d2h.task);
+      const std::size_t w = i % static_cast<std::size_t>(replicas);
+      const int w_node = run.node_of(3 + w);
+      ModeledHost& hw = *hash_workers[w];
+      Space* space = gpu ? &pick_space(i, w) : nullptr;
+      const double compute_before =
+          gpu ? space->device->compute_busy_seconds() : 0;
+      des::TaskId arrived_w =
+          fabric.send(src_node, w_node, b.data_len, emitted, "batch");
+      HashOps hashed;
+      if (gpu) {
+        if (space->last_d2h.valid()) hw.wait(space->last_d2h.task);
         des::TaskId deps[1] = {arrived_w};
         hw.work(item_ovh + enq, deps);
-        const HashOps hashed = enqueue_hash(hw, space, b, enq, cuda);
+        hashed = enqueue_hash(hw, *space, b, enq, cuda);
         hw.wait(hashed.digests.task);
+      } else {
+        hw.work_after(cpu.hash(b) + item_ovh, arrived_w);
+      }
 
-        des::TaskId arrived_d = fabric.send(
-            w_node, dup_node, 20 * b.block_count, hw.tail(), "digests");
-        des::TaskId checked = sharded_check(i, b, arrived_d);
-        des::TaskId arrived_back = fabric.send(dup_node, w_node,
-                                               b.block_count, checked,
-                                               "decisions");
+      des::TaskId arrived_d = fabric.send(
+          w_node, dup_node, 20 * b.block_count, hw.tail(), "digests");
+      des::TaskId checked = sharded_check(i, b, arrived_d);
+      des::TaskId arrived_back = fabric.send(dup_node, w_node, b.block_count,
+                                             checked, "decisions");
 
+      des::TaskId compressed;
+      if (gpu) {
         // Compress farm: enqueue FindMatch on the item's stream (data is
         // already on the device), read matches back, encode on the CPU.
         ModeledHost& cw = *comp_workers[w];
+        Device& dev = *space->device;
         const double calls = findmatch_calls(b, config.batched_kernel);
         des::TaskId cdeps[1] = {arrived_back};
         cw.work(item_ovh + enq * calls, cdeps);
-        perfmodel::stream_wait_host(dev, space.stream, cw.tail());
-        space.last_d2h = enqueue_findmatch(cw, space, b, config, enq);
-        cw.wait(space.last_d2h.task);
-        des::TaskId encoded = cw.work(cpu.encode_walk(b));
-
+        perfmodel::stream_wait_host(dev, space->stream, cw.tail());
+        space->last_d2h = enqueue_findmatch(cw, *space, b, config, enq);
+        cw.wait(space->last_d2h.task);
+        compressed = cw.work(cpu.encode_walk(b));
         if (run.profiling()) {
           const double host_busy = item_ovh + 2 * enq +  // hash thread
                                    item_ovh + cpu.encode_walk(b) +
@@ -612,17 +589,19 @@ Fig5Result run_fig5(const DedupTrace& trace, const Fig5Config& config,
                       dev.compute_busy_seconds() - compute_before,
                       run.task_seconds(hashed.h2d.task) +
                           run.task_seconds(hashed.digests.task) +
-                          run.task_seconds(space.last_d2h.task));
+                          run.task_seconds(space->last_d2h.task));
         }
-
-        des::TaskId arrived_wr = fabric.send(w_node, wr_node, b.output_bytes,
-                                             encoded, "archive");
-        writer.work_after(cpu.write(b) + item_ovh, arrived_wr);
-        run.profile(2, i, cpu.write(b) + item_ovh);
+      } else {
+        compressed = hw.work_after(cpu.compress(b) + item_ovh, arrived_back);
+        run.profile(3 + w, i, cpu.hash(b) + cpu.compress(b) + 2 * item_ovh);
       }
-      out.modeled_seconds =
-          std::max(writer.finish_time(), machine.makespan());
+
+      des::TaskId arrived_wr = fabric.send(w_node, wr_node, b.output_bytes,
+                                           compressed, "archive");
+      writer.work_after(cpu.write(b) + item_ovh, arrived_wr);
+      run.profile(2, i, cpu.write(b) + item_ovh);
     }
+    out.modeled_seconds = std::max(writer.finish_time(), machine.makespan());
   }
 
   out.kernel_launches = machine.kernel_launches();

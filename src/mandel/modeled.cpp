@@ -355,6 +355,17 @@ RunResult run_gpu_single_thread(const IterationMap& map,
   if (mode == GpuMode::kPerLine1D || mode == GpuMode::kPerLine2D) {
     // One kernel + one copy + one show per line, all serialized on the
     // default stream of device 0 (the paper's naive port uses one GPU).
+    // 1D maps one thread per column. "2D of threads and blocks" (the paper
+    // does not give its exact geometry) uses a 16x16 block whose
+    // FASTEST-varying thread dimension strides across columns (j = base +
+    // tx*16 + ty) — the classic pitfall when switching to 2D indexing. Each
+    // warp then samples columns spread across a 256-wide tile instead of 32
+    // adjacent ones, so nearly every warp contains a slow (deep-iteration)
+    // lane and pays its cost: SIMT divergence destroys the coherence the 1D
+    // row mapping gets for free, reproducing the reported ~2x degradation.
+    const bool two_d = mode == GpuMode::kPerLine2D;
+    const Dim3 grid{static_cast<std::uint32_t>((dim + 255) / 256), 1, 1};
+    const Dim3 block = two_d ? Dim3{16, 16, 1} : Dim3{256, 1, 1};
     Device& dev = node.device(0);
     auto buf = dev.malloc(static_cast<std::uint64_t>(dim));
     assert(buf.ok());
@@ -362,43 +373,21 @@ RunResult run_gpu_single_thread(const IterationMap& map,
     for (int i = 0; i < dim; ++i) {
       des::TaskId enq = host.work(2 * ovh);
       perfmodel::stream_wait_host(dev, dev.default_stream(), enq);
-      Result<OpHandle> launched = InvalidArgument("unset");
-      if (mode == GpuMode::kPerLine1D) {
-        launched = dev.launch(
-            Dim3{static_cast<std::uint32_t>((dim + 255) / 256), 1, 1},
-            Dim3{256, 1, 1}, {}, dev.default_stream(),
-            [&map, dev_row, i, dim](const ThreadCtx& ctx) -> std::uint64_t {
-              std::uint64_t j = ctx.global_x();
-              if (j < static_cast<std::uint64_t>(dim)) {
-                dev_row[j] = map.color(i, static_cast<int>(j));
-                return map.lane_cost(i, static_cast<int>(j));
-              }
-              return 1;
-            });
-      } else {
-        // "2D of threads and blocks" (the paper does not give its exact
-        // geometry): a 16x16 block whose FASTEST-varying thread dimension
-        // strides across columns (j = base + tx*16 + ty) — the classic
-        // pitfall when switching to 2D indexing. Each warp then samples
-        // columns spread across a 256-wide tile instead of 32 adjacent
-        // ones, so nearly every warp contains a slow (deep-iteration)
-        // lane and pays its cost: SIMT divergence destroys the coherence
-        // the 1D row mapping gets for free, reproducing the reported ~2x
-        // degradation.
-        launched = dev.launch(
-            Dim3{static_cast<std::uint32_t>((dim + 255) / 256), 1, 1},
-            Dim3{16, 16, 1}, {}, dev.default_stream(),
-            [&map, dev_row, i, dim](const ThreadCtx& ctx) -> std::uint64_t {
-              std::uint64_t j =
-                  static_cast<std::uint64_t>(ctx.block_idx.x) * 256 +
-                  static_cast<std::uint64_t>(ctx.thread_idx.x) * 16 +
-                  ctx.thread_idx.y;
-              if (j >= static_cast<std::uint64_t>(dim)) return 1;
-              dev_row[j] = map.color(i, static_cast<int>(j));
-              return map.lane_cost(i, static_cast<int>(j));
-            });
-      }
+      auto launched = dev.launch(
+          grid, block, {}, dev.default_stream(),
+          [&map, dev_row, i, dim, two_d](const ThreadCtx& ctx)
+              -> std::uint64_t {
+            const std::uint64_t j =
+                two_d ? static_cast<std::uint64_t>(ctx.block_idx.x) * 256 +
+                            static_cast<std::uint64_t>(ctx.thread_idx.x) * 16 +
+                            ctx.thread_idx.y
+                      : ctx.global_x();
+            if (j >= static_cast<std::uint64_t>(dim)) return 1;
+            dev_row[j] = map.color(i, static_cast<int>(j));
+            return map.lane_cost(i, static_cast<int>(j));
+          });
       assert(launched.ok());
+      (void)launched;
       auto copied = dev.memcpy_d2h(
           image.data() + static_cast<std::size_t>(i) * dim, dev_row,
           static_cast<std::uint64_t>(dim), dev.default_stream(),
