@@ -9,7 +9,7 @@
 //
 // Stages additionally carry per-stage compute profiles (StageCompute):
 // host busy seconds, GPU kernel/copy occupancy, and per-item costs,
-// *measured* by the cluster modeled runners during a profiling run
+// *measured* by the modeled runners during a profiling run
 // (ClusterRunOptions::profile) rather than hand-tuned — the same trace
 // that feeds StageEdge::bytes. They power the makespan estimator and the
 // makespan-aware placer in cluster/makespan.hpp.

@@ -14,10 +14,10 @@
 // check() assigns them from one counter in stream order exactly like
 // DupCache::check.
 //
-// The modeled cluster runner does not call this class on the hot path —
-// it partitions per-batch shard keys (BatchCosts::shard_key) with the same
-// owner rule to charge lookup traffic to the fabric; this class is the
-// functional twin that real pipelines and tests run.
+// The modeled replay (dedup::run_fig5) does not call this class on the hot
+// path — it partitions per-batch shard keys (BatchCosts::shard_key) with
+// the same owner rule to charge lookup traffic to the fabric; this class is
+// the functional twin that real pipelines and tests run.
 #pragma once
 
 #include <cstdint>

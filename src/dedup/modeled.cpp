@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
 
 namespace hs::dedup {
 
@@ -426,11 +425,11 @@ Fig5Result run_fig5(const DedupTrace& trace, const Fig5Config& config,
     // Shard services: shard s lives on node s (owner = key % N). Only built
     // for N > 1 — at one node every probe is local and charged to the dup
     // engine itself.
-    std::vector<std::unique_ptr<ModeledHost>> shard_hosts;
+    std::vector<ModeledHost> shard_hosts;
     if (N > 1) {
+      shard_hosts.reserve(static_cast<std::size_t>(N));
       for (int n = 0; n < N; ++n) {
-        shard_hosts.push_back(
-            std::make_unique<ModeledHost>(&machine.node(n), "shard"));
+        shard_hosts.emplace_back(&machine.node(n), "shard");
       }
     }
 
@@ -459,7 +458,7 @@ Fig5Result run_fig5(const DedupTrace& trace, const Fig5Config& config,
                                         dup.tail(), "shard.query");
         out.shard_bytes += kShardQueryBytes * k * h;
         des::TaskId served =
-            shard_hosts[static_cast<std::size_t>(o)]->work_after(
+            shard_hosts[static_cast<std::size_t>(o)].work_after(
                 static_cast<double>(k) * host.seconds_per_dupcheck, query);
         des::TaskId resp = fabric.send(o, dup_node, kShardResponseBytes * k,
                                        served, "shard.response");
@@ -475,22 +474,21 @@ Fig5Result run_fig5(const DedupTrace& trace, const Fig5Config& config,
     // that node (w % devices on one node — the paper's binding). An item's
     // stream travels with it so the compress stage reuses the data already
     // on the GPU.
-    std::vector<std::unique_ptr<ModeledHost>> hash_workers;
-    std::vector<std::unique_ptr<ModeledHost>> comp_workers;
+    std::vector<ModeledHost> hash_workers;
+    std::vector<ModeledHost> comp_workers;
+    hash_workers.reserve(static_cast<std::size_t>(replicas));
+    comp_workers.reserve(static_cast<std::size_t>(replicas));
     std::vector<std::vector<Space>> spaces(static_cast<std::size_t>(replicas));
     std::vector<int> node_rank(static_cast<std::size_t>(N), 0);
     for (std::size_t w = 0; w < spaces.size(); ++w) {
       const int w_node = run.node_of(3 + w);
       gpusim::Machine& node = run.node(3 + w);
       if (!gpu) {
-        hash_workers.push_back(
-            std::make_unique<ModeledHost>(&node, "worker" + std::to_string(w)));
+        hash_workers.emplace_back(&node, "worker" + std::to_string(w));
         continue;
       }
-      hash_workers.push_back(
-          std::make_unique<ModeledHost>(&node, "hash" + std::to_string(w)));
-      comp_workers.push_back(
-          std::make_unique<ModeledHost>(&node, "comp" + std::to_string(w)));
+      hash_workers.emplace_back(&node, "hash" + std::to_string(w));
+      comp_workers.emplace_back(&node, "comp" + std::to_string(w));
       assert(node.device_count() > 0 &&
              "GPU farm worker placed on a node without GPUs");
       const int d = node_rank[static_cast<std::size_t>(w_node)]++ %
@@ -525,17 +523,11 @@ Fig5Result run_fig5(const DedupTrace& trace, const Fig5Config& config,
         return spaces[w][(i / static_cast<std::size_t>(replicas)) %
                          spaces[w].size()];
       }
-      const auto& pool = pools[static_cast<std::size_t>(run.node_of(3 + w))];
-      std::size_t best = 0;
-      double best_t = machine.finish_time(pool[0]->last_d2h.task);
-      for (std::size_t s = 1; s < pool.size(); ++s) {
-        const double t = machine.finish_time(pool[s]->last_d2h.task);
-        if (t < best_t) {
-          best = s;
-          best_t = t;
-        }
-      }
-      return *pool[best];
+      return **std::ranges::min_element(
+          pools[static_cast<std::size_t>(run.node_of(3 + w))], {},
+          [&](const Space* s) {
+            return machine.finish_time(s->last_d2h.task);
+          });
     };
 
     for (std::size_t i = 0; i < trace.batches.size(); ++i) {
@@ -545,7 +537,7 @@ Fig5Result run_fig5(const DedupTrace& trace, const Fig5Config& config,
 
       const std::size_t w = i % static_cast<std::size_t>(replicas);
       const int w_node = run.node_of(3 + w);
-      ModeledHost& hw = *hash_workers[w];
+      ModeledHost& hw = hash_workers[w];
       Space* space = gpu ? &pick_space(i, w) : nullptr;
       const double compute_before =
           gpu ? space->device->compute_busy_seconds() : 0;
@@ -572,7 +564,7 @@ Fig5Result run_fig5(const DedupTrace& trace, const Fig5Config& config,
       if (gpu) {
         // Compress farm: enqueue FindMatch on the item's stream (data is
         // already on the device), read matches back, encode on the CPU.
-        ModeledHost& cw = *comp_workers[w];
+        ModeledHost& cw = comp_workers[w];
         Device& dev = *space->device;
         const double calls = findmatch_calls(b, config.batched_kernel);
         des::TaskId cdeps[1] = {arrived_back};

@@ -213,7 +213,6 @@ class CudaStageContext {
         backoff_(BackoffPolicy{policy.base_delay, policy.max_delay},
                  0x646564757Aull + static_cast<std::uint64_t>(replica_id)) {}
 
-
   /// Runs `gpu_pass` (the complete per-batch device sequence, returning
   /// Status; must be idempotent) under the retry policy, migrating across
   /// devices on loss. On failure the caller degrades to the CPU stage.

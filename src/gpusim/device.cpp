@@ -1,7 +1,5 @@
 #include "gpusim/device.hpp"
 
-#include "des/trace_export.hpp"
-
 #include <cassert>
 #include <algorithm>
 #include <cstring>
@@ -351,16 +349,6 @@ std::size_t Machine::op_count() const {
 double Machine::engine_busy(des::EngineId id) const {
   std::lock_guard<std::mutex> lock(mu());
   return tl().engine_stats(id).busy;
-}
-
-void Machine::set_trace_recording(bool enabled) {
-  std::lock_guard<std::mutex> lock(mu());
-  tl().set_recording(enabled);
-}
-
-Status Machine::dump_chrome_trace(const std::string& path) const {
-  std::lock_guard<std::mutex> lock(mu());
-  return des::write_chrome_trace(tl(), path);
 }
 
 }  // namespace hs::gpusim

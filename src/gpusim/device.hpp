@@ -251,11 +251,6 @@ class Machine {
   [[nodiscard]] std::size_t op_count() const;
   [[nodiscard]] double engine_busy(des::EngineId id) const;
 
-  /// Enables per-op trace recording (see des/trace_export.hpp).
-  void set_trace_recording(bool enabled);
-  /// Writes the recorded schedule as Chrome trace-event JSON.
-  Status dump_chrome_trace(const std::string& path) const;
-
   std::mutex& mutex() { return mu(); }
 
  private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -96,6 +95,18 @@ RunResult finish(ClusterReplay& run, std::string label, double seconds,
   return out;
 }
 
+/// The host threads "worker0".. of a farm's replicas, each on the node of
+/// its stage instance (2 + w).
+std::vector<ModeledHost> farm_workers(ClusterReplay& run, int n) {
+  std::vector<ModeledHost> workers;
+  workers.reserve(static_cast<std::size_t>(n));
+  for (int w = 0; w < n; ++w) {
+    workers.emplace_back(&run.node(2 + static_cast<std::size_t>(w)),
+                         "worker" + std::to_string(w));
+  }
+  return workers;
+}
+
 /// One GPU "memory space": a device buffer + stream + the in-flight d2h
 /// transfer that must complete before the buffer is reused.
 struct MemSpace {
@@ -157,7 +168,7 @@ class BatchSizer {
       : adaptive_(cfg.sched == sched::SchedMode::kAdaptive),
         fixed_(static_cast<std::uint64_t>(std::max(1, cfg.batch_lines))),
         dim_(dim),
-        aimd_(aimd_config(dim)) {}
+        aimd_(make_aimd(dim)) {}
 
   [[nodiscard]] bool adaptive() const { return adaptive_; }
 
@@ -193,7 +204,7 @@ class BatchSizer {
   }
 
  private:
-  static sched::AimdBatchSizer aimd_config(int dim) {
+  static sched::AimdBatchSizer make_aimd(int dim) {
     sched::AimdConfig scfg;
     scfg.min_size = 1;
     scfg.max_size = static_cast<std::uint64_t>(dim);
@@ -224,23 +235,6 @@ class BatchSizer {
   int dim_;
   sched::AimdBatchSizer aimd_;
 };
-
-/// Least-loaded memory space: earliest modeled completion of the in-flight
-/// d2h (an idle space scores 0, so every space gets primed first). Strict <
-/// keeps ties on the lowest index for determinism.
-std::size_t least_loaded_space(const cluster::ClusterMachine& machine,
-                               const std::vector<MemSpace>& spaces) {
-  std::size_t best = 0;
-  double best_t = machine.finish_time(spaces[0].last_d2h.task);
-  for (std::size_t s = 1; s < spaces.size(); ++s) {
-    const double t = machine.finish_time(spaces[s].last_d2h.task);
-    if (t < best_t) {
-      best = s;
-      best_t = t;
-    }
-  }
-  return best;
-}
 
 }  // namespace
 
@@ -291,12 +285,7 @@ RunResult run_cpu_pipeline(const IterationMap& map, const ModeledConfig& cfg,
 
   ModeledHost source(&run.node(0), "source");
   ModeledHost sink(&run.node(1), "sink");
-  std::vector<std::unique_ptr<ModeledHost>> workers;
-  for (int w = 0; w < nworkers; ++w) {
-    workers.push_back(std::make_unique<ModeledHost>(
-        &run.node(2 + static_cast<std::size_t>(w)),
-        "worker" + std::to_string(w)));
-  }
+  std::vector<ModeledHost> workers = farm_workers(run, nworkers);
 
   std::vector<std::uint8_t> image(static_cast<std::size_t>(dim) * dim);
   std::vector<des::TaskId> sink_tasks(static_cast<std::size_t>(dim));
@@ -314,19 +303,18 @@ RunResult run_cpu_pipeline(const IterationMap& map, const ModeledConfig& cfg,
 
     // Worker choice: round-robin (FastFlow/SPar default scheduling) or
     // earliest-available (work stealing evens the load).
-    std::size_t w = item % workers.size();
-    if (tbb) {
-      w = 0;
-      for (std::size_t c = 1; c < workers.size(); ++c) {
-        if (workers[c]->finish_time() < workers[w]->finish_time()) w = c;
-      }
-    }
+    const std::size_t w =
+        tbb ? static_cast<std::size_t>(
+                  std::ranges::min_element(workers, {},
+                                           &ModeledHost::finish_time) -
+                  workers.begin())
+            : item % workers.size();
     render_line(map, i, image);
     des::TaskId arrived = fabric.send(run.node_of(0), run.node_of(2 + w),
                                       cluster::kDescriptorBytes, emitted,
                                       "line");
     const double compute = line_cost(map, cfg, i) + ovh;
-    des::TaskId computed = workers[w]->work_after(compute, arrived);
+    des::TaskId computed = workers[w].work_after(compute, arrived);
     run.profile(2 + w, item, compute);
     des::TaskId delivered =
         fabric.send(run.node_of(2 + w), run.node_of(1),
@@ -420,11 +408,17 @@ RunResult run_gpu_single_thread(const IterationMap& map,
     // for copying data and another to perform computations"); the
     // single-space version runs the paper's synchronous loop.
     const bool overlap_show = nbuf > 1 || devices > 1;
+    // Adaptive: the space whose in-flight d2h lands first (an idle space
+    // scores 0, so every space gets primed first; ties go to the lowest
+    // index).
+    const auto d2h_done = [&run](const MemSpace& s) {
+      return run.machine().finish_time(s.last_d2h.task);
+    };
     int first = 0;
     for (int b = 0; first < dim; ++b) {
       MemSpace& space =
           sizer.adaptive()
-              ? spaces[least_loaded_space(run.machine(), spaces)]
+              ? *std::ranges::min_element(spaces, {}, d2h_done)
               : spaces[static_cast<std::size_t>(
                     (b % devices) * nbuf + (b / devices) % nbuf)];
       const int count = sizer.reserve(space, first);
@@ -491,12 +485,7 @@ RunResult run_combined(const IterationMap& map, const ModeledConfig& cfg,
   apply_device_knobs(machine, cfg);
   ModeledHost source(&run.node(0), "source");
   ModeledHost collector(&run.node(1), "collector");
-  std::vector<std::unique_ptr<ModeledHost>> workers;
-  for (int w = 0; w < nworkers; ++w) {
-    workers.push_back(std::make_unique<ModeledHost>(
-        &run.node(2 + static_cast<std::size_t>(w)),
-        "worker" + std::to_string(w)));
-  }
+  std::vector<ModeledHost> workers = farm_workers(run, nworkers);
 
   // Each worker owns one memory space (buffer + stream) per GPU of its
   // node — the paper attaches a cudaStream/cl_command_queue to every stream
@@ -545,15 +534,13 @@ RunResult run_combined(const IterationMap& map, const ModeledConfig& cfg,
     const std::size_t w = item % static_cast<std::size_t>(nworkers);
     std::vector<double>& free_at =
         device_free[static_cast<std::size_t>(run.node_of(2 + w))];
-    std::size_t d = item % spaces[w].size();
-    if (sizer.adaptive()) {
-      d = 0;
-      for (std::size_t k = 1; k < free_at.size(); ++k) {
-        if (free_at[k] < free_at[d]) d = k;
-      }
-    }
+    const std::size_t d =
+        sizer.adaptive()
+            ? static_cast<std::size_t>(std::ranges::min_element(free_at) -
+                                       free_at.begin())
+            : item % spaces[w].size();
     MemSpace& space = spaces[w][d];
-    ModeledHost& worker = *workers[w];
+    ModeledHost& worker = workers[w];
     const int count = sizer.reserve(space, first);
 
     // The worker must not reuse its buffer before the previous transfer

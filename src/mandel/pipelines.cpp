@@ -193,7 +193,6 @@ class CudaLineWorker final : public flow::Node {
   }
 
  private:
-
   Status render_line(Line& line) {
     if (tracker_ != nullptr) return render_line_adaptive(line);
     if (!gpu_ready_ && !try_setup(device_ >= 0 ? device_ : replica_)) {

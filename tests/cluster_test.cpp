@@ -366,6 +366,43 @@ TEST(ClusterRunnerTest, EstimatorMatchesFabricBytesExactly) {
   }
 }
 
+TEST(ClusterRunnerTest, ProfilingLeavesTheScheduleUnchanged) {
+  // Profiling observes a run: the 1-node profiled run must match the
+  // single-host run (same loop, no profile) exactly.
+  dedup::Fig5Config cfg;
+  dedup::DedupTrace trace = small_trace(cfg);
+  StageGraph g = dedup_stage_graph(trace, cfg.replicas, true);
+  ClusterRunOptions opts;
+  opts.topo = full_mesh(1, cfg.devices, cfg.device_spec, 1e9, 1e-6);
+  opts.profile = &g;
+  const auto profiled =
+      run_fig5_cluster(trace, cfg, dedup::Fig5Backend::kSparCuda, opts);
+  EXPECT_EQ(profiled.modeled_seconds,
+            dedup::run_fig5(trace, cfg, dedup::Fig5Backend::kSparCuda)
+                .modeled_seconds);
+  EXPECT_GT(g.stages[3].compute.gpu_seconds, 0.0);
+
+  kernels::MandelParams p;
+  p.dim = 64;
+  p.niter = 500;
+  const mandel::IterationMap map = mandel::IterationMap::compute(p);
+  mandel::ModeledConfig mcfg;
+  mcfg.batch_lines = 8;
+  mcfg.devices = 2;
+  mcfg.combined_workers = 4;
+  StageGraph mg = mandel_stage_graph(p.dim, mcfg.batch_lines,
+                                     mcfg.combined_workers, true);
+  opts.topo = full_mesh(1, mcfg.devices, mcfg.device_spec, 1e9, 1e-6);
+  opts.profile = &mg;
+  const auto mprofiled =
+      run_mandel_combined_cluster(map, mcfg, mandel::GpuApi::kCuda, opts);
+  EXPECT_EQ(mprofiled.modeled_seconds,
+            mandel::run_combined(map, mcfg, mandel::CpuModel::kSpar,
+                                 mandel::GpuApi::kCuda)
+                .modeled_seconds);
+  EXPECT_GT(mg.stages[2].compute.gpu_seconds, 0.0);
+}
+
 TEST(ClusterRunnerTest, MultiNodeRunIsSlowerThanFreeTraffic) {
   // Scheduling the same schedule over a slow fabric must cost time: the
   // 2-node run with microsecond links cannot beat itself with instant
