@@ -337,8 +337,8 @@ RunResult run_gpu_single_thread(const IterationMap& map,
   gpusim::Machine& node = run.node(0);
   ModeledHost host(&node, "driver");
   std::vector<std::uint8_t> image(static_cast<std::size_t>(dim) * dim);
-  BatchSizer sizer(cfg, dim);
   std::string label(gpu_api_name(api));
+  std::uint64_t adaptive_batch_lines = 0;
 
   if (mode == GpuMode::kPerLine1D || mode == GpuMode::kPerLine2D) {
     // One kernel + one copy + one show per line, all serialized on the
@@ -392,6 +392,7 @@ RunResult run_gpu_single_thread(const IterationMap& map,
     // kAdaptive, to the least-loaded space.
     const int devices = node.device_count();
     const int nbuf = std::max(1, cfg.buffers_per_gpu);
+    BatchSizer sizer(cfg, dim);
     std::vector<MemSpace> spaces;
     for (int d = 0; d < devices; ++d) {
       Device& dev = node.device(d);
@@ -451,6 +452,7 @@ RunResult run_gpu_single_thread(const IterationMap& map,
       }
     }
 
+    adaptive_batch_lines = sizer.converged();
     label += sizer.adaptive() ? " adaptive"
                               : " batch" + std::to_string(cfg.batch_lines);
     if (cfg.buffers_per_gpu > 1) {
@@ -462,7 +464,7 @@ RunResult run_gpu_single_thread(const IterationMap& map,
   RunResult out =
       finish(run, std::move(label),
              std::max(host.finish_time(), run.machine().makespan()), image);
-  out.adaptive_batch_lines = sizer.converged();
+  out.adaptive_batch_lines = adaptive_batch_lines;
   return out;
 }
 

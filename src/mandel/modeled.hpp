@@ -12,14 +12,16 @@
 //
 // Each variant is one loop over a cluster::ClusterMachine
 // (cluster/replay.hpp). The overloads without ClusterRunOptions run it on
-// cluster::single_host with the config's devices — the paper's machine.
-// With options, stage instances sit on the nodes their placement names
+// cluster::single_host with the GPUs the variant drives — the paper's
+// machine — and trace to cfg.trace_path. With options, the topology and
+// options.trace_path take the place of cfg.devices and cfg.trace_path, and
+// stage instances sit on the nodes their placement names
 // (Placement::node_of index):
 //   pipeline / combined: [0]=source  [1]=sink/collector  [2+w]=worker w
 //   sequential:          [0]=the one host thread
-// and an item crossing nodes pays a Fabric::send: a 64-byte descriptor to
-// the worker, the rendered lines to the sink. Workers drive the GPUs of
-// their own node.
+// An item crossing nodes pays a Fabric::send: a 64-byte descriptor to the
+// worker, the rendered lines to the sink. Workers drive the GPUs of their
+// own node.
 //
 // The CUDA and OpenCL paths share the scheduling code (the paper measured
 // them within ~2% everywhere); they differ by the per-call API overhead
