@@ -98,6 +98,11 @@ ErrorCode error_code_of(cudaError e) {
 
 const std::string& last_error_message() { return tls_error; }
 
+Status cuda_status(cudaError e, const char* what) {
+  if (e == cudaError::cudaSuccess) return OkStatus();
+  return Status(error_code_of(e), std::string(what) + ": " + tls_error);
+}
+
 void bind_machine(gpusim::Machine* machine) {
   g_machine.store(machine, std::memory_order_release);
   g_epoch.fetch_add(1, std::memory_order_acq_rel);

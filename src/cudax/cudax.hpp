@@ -57,6 +57,10 @@ ErrorCode error_code_of(cudaError e);
 /// Thread-local detailed message for the last failing call on this thread.
 const std::string& last_error_message();
 
+/// The Status the retry ladder reasons about for one shim call: OK, or the
+/// call's ErrorCode with "`what`: last_error_message()".
+Status cuda_status(cudaError e, const char* what);
+
 enum class cudaMemcpyKind : std::uint8_t {
   cudaMemcpyHostToDevice,
   cudaMemcpyDeviceToHost,

@@ -21,6 +21,10 @@
 #include "gpusim/device.hpp"
 #include "sched/sched.hpp"
 
+namespace hs::spar {
+class CudaDevice;
+}  // namespace hs::spar
+
 namespace hs::dedup {
 
 /// Sequential reference: all five stages in a loop. With `store` non-null,
@@ -70,21 +74,23 @@ Result<std::vector<std::uint8_t>> archive_spar_cpu(
     std::span<const std::uint8_t> input, const DedupConfig& config,
     int replicas);
 
-/// SPar + CUDA-shim pipeline: hashing and FindMatch stages offload to the
-/// simulated GPUs (device chosen round-robin per worker, per-thread
-/// cudaSetDevice, per-worker streams) — the Fig. 3 graph as implemented in
-/// the paper. `machine` must be bound to cudax by the caller.
+/// SPar + CUDA-shim pipeline: the hashing and FindMatch stages are
+/// generated SPar GPU stages (spar::gpu_stage) offloading to the simulated
+/// GPUs — the Fig. 3 graph as implemented in the paper. Replica r starts on
+/// device r % devices with its own stream. `machine` must be bound to cudax
+/// by the caller.
 ///
-/// Fault tolerance: transient device errors retry under `policy`; a lost
-/// device is excluded permanently and workers migrate to a survivor or run
-/// the equivalent CPU stage (hash_blocks / compress_blocks_cpu), so the
-/// archive is bit-identical under any injected fault sequence. Pass `stats`
-/// for per-attempt telemetry (null to skip).
+/// Fault tolerance is the device ladder's (sched/ladder.hpp): transient
+/// device errors retry under `policy`; a lost device is excluded and
+/// workers migrate to a survivor or run the equivalent CPU stage
+/// (hash_blocks / compress_blocks_cpu), so the archive is bit-identical
+/// under any injected fault sequence. Pass `stats` for per-attempt
+/// telemetry (null to skip).
 ///
-/// With `tracker` set (sched::SchedMode::kAdaptive) the per-replica device
-/// round-robin is replaced by least-loaded selection with idle-device
-/// stealing; lost devices are excluded tracker-wide so their queued batches
-/// drain through the survivors. The archive bytes are identical either way.
+/// With `tracker` set (sched::SchedMode::kAdaptive) the static binding is
+/// replaced by least-loaded selection with idle-device stealing; lost
+/// devices are excluded tracker-wide so their queued batches drain through
+/// the survivors. The archive bytes are identical either way.
 /// With `failures` set, the region's full per-stage failure report is
 /// copied out after the run (empty on clean runs) — callers can flag
 /// unrecovered stage failures even when a partial archive was produced.
@@ -94,6 +100,12 @@ Result<std::vector<std::uint8_t>> archive_spar_cuda(
     const RetryPolicy& policy = {},
     sched::DeviceLoadTracker* tracker = nullptr,
     flow::FailureReport* failures = nullptr);
+
+/// Stage 2 as one device pass on a bound CUDA device: upload the batch,
+/// hash one block per thread (sha1_lane), download the digests into the
+/// blocks. Idempotent; the hashing stage of archive_spar_cuda and serve's
+/// dedup jobs both run it.
+Status hash_blocks_cuda(spar::CudaDevice& dev, Batch& batch);
 
 /// Single-host-thread OpenCL-shim version. `batched_kernel` selects the
 /// paper's optimized single FindMatch kernel per batch (true) or the

@@ -12,11 +12,14 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
 #include "dedup/dup_store.hpp"
 #include "dedup/types.hpp"
+#include "kernels/lzss.hpp"
+#include "kernels/sha1.hpp"
 
 namespace hs::dedup {
 
@@ -83,5 +86,47 @@ std::uint64_t batch_match_cost(const Batch& batch, const DedupConfig& config);
 /// Compressed output bytes of a processed batch (unique payloads + record
 /// overhead), for throughput accounting.
 std::uint64_t batch_output_bytes(const Batch& batch);
+
+// ---- GPU lanes: the body of one simulated thread, shared by every GPU path
+// (the SPar+CUDA stages, the single-thread OpenCL driver, serve's jobs).
+
+/// Stage 2 lane: SHA-1 of block `b` of `batch`, read from `data` (the
+/// batch bytes as the device holds them) and written to digests + 20*b.
+/// Returns the lane cost: SHA-1 rounds of the block, so warp divergence
+/// follows the variable rabin block sizes.
+inline std::uint64_t sha1_lane(const Batch& batch, const std::uint8_t* data,
+                               std::size_t b, std::uint8_t* digests) {
+  const BlockInfo& block = batch.blocks[b];
+  const kernels::Sha1Digest digest = kernels::Sha1::hash(
+      std::span<const std::uint8_t>(data + block.start, block.len));
+  std::memcpy(digests + b * digest.size(), digest.data(), digest.size());
+  return kernels::Sha1::compression_rounds(block.len) * 100;
+}
+
+/// Stage 4 lane (Listing 3): locates the block holding `pos` from
+/// start_pos, then the longest match at `pos` clamped to that block, read
+/// from `data` (n batch bytes on the device). Returns the lane cost.
+inline std::uint64_t find_match_lane(const Batch& batch,
+                                     const std::uint8_t* data, std::size_t n,
+                                     std::size_t pos,
+                                     const kernels::LzssParams& lzss,
+                                     kernels::LzssMatch* matches) {
+  const auto& starts = batch.start_pos;
+  std::size_t lo = 0;
+  std::size_t hi = starts.size();
+  while (lo + 1 < hi) {
+    const std::size_t mid = (lo + hi) / 2;
+    if (starts[mid] <= pos) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  const std::size_t bstart = starts[lo];
+  const std::size_t bend = lo + 1 < starts.size() ? starts[lo + 1] : n;
+  matches[pos] = kernels::lzss_longest_match(
+      std::span<const std::uint8_t>(data, n), bstart, bend, pos, lzss);
+  return kernels::lzss_match_cost(bstart, pos, lzss) * 2;
+}
 
 }  // namespace hs::dedup

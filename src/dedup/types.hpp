@@ -117,6 +117,9 @@ struct Batch {
     }
   }
 
+  /// No bytes to process (the GPU stages pass such a batch through).
+  [[nodiscard]] bool empty() const { return data.empty(); }
+
   /// Empties the batch but keeps every capacity (data slab, vectors) so a
   /// recycled batch is refilled without heap traffic. Block compressed
   /// slabs return to the BufferPool via ~BlockInfo.

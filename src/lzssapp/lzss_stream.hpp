@@ -39,9 +39,12 @@ Result<std::vector<std::uint8_t>> compress_spar(
     std::span<const std::uint8_t> input, const LzssStreamConfig& config,
     int replicas);
 
-/// SPar + CUDA-shim pipeline: the farm workers offload FindMatch to the
-/// simulated GPUs (one thread per input position) and run the encode walk
-/// on the CPU — the [24] structure. `machine` must be bound to cudax.
+/// SPar + CUDA-shim pipeline: a generated SPar GPU stage offloads FindMatch
+/// to the simulated GPUs (one thread per input position) and runs the
+/// encode walk on the CPU — the [24] structure. `machine` must be bound to
+/// cudax. Device faults are absorbed by the device ladder (retry, migrate,
+/// then the CPU encoder), so the container always equals
+/// compress_sequential's.
 Result<std::vector<std::uint8_t>> compress_spar_cuda(
     std::span<const std::uint8_t> input, const LzssStreamConfig& config,
     int replicas, gpusim::Machine& machine);

@@ -41,21 +41,23 @@ Result<std::vector<std::uint8_t>> render_spar(const MandelParams& params,
                                               int workers);
 
 /// SPar pipeline whose replicated middle stage offloads each line to a
-/// simulated GPU through the CUDA shim (per-thread cudaSetDevice, device
-/// chosen round-robin per item — the paper's multi-GPU scheme). `machine`
-/// must stay bound to cudax for the duration.
+/// simulated GPU through the CUDA shim: the generated SPar GPU stage
+/// (spar::gpu_stage) with a per-line pass of three device calls (launch,
+/// D2H copy, stream sync). Replica r starts on device r % devices with its
+/// own stream (per-thread cudaSetDevice, the paper's multi-GPU scheme).
+/// `machine` must stay bound to cudax for the duration.
 ///
-/// Fault tolerance: transient device errors (failed copies/launches,
-/// allocation pressure) are retried under `policy`; a lost device is
-/// permanently excluded and its worker migrates to a surviving device or —
-/// when none remain — to the bit-exact CPU kernel path, so the rendered
-/// image is identical under any injected fault sequence. Pass `stats` to
-/// collect per-attempt telemetry (may be shared across calls; null to skip).
-/// With `tracker` set (sched::SchedMode::kAdaptive), the per-replica static
-/// binding is replaced by least-loaded device selection with idle-device
-/// stealing: each line is routed through the tracker, service times feed its
-/// EWMA, and a lost device is excluded so queued work drains through the
-/// surviving devices. The rendered image is identical either way.
+/// Fault tolerance is the device ladder's (sched/ladder.hpp): transient
+/// device errors (failed copies/launches, allocation pressure) are retried
+/// under `policy`; a lost device is excluded and its worker migrates to a
+/// surviving device or — when none remain — to the bit-exact CPU kernel, so
+/// the rendered image is identical under any injected fault sequence. Pass
+/// `stats` to collect per-attempt telemetry (may be shared across calls;
+/// null to skip). With `tracker` set (sched::SchedMode::kAdaptive), the
+/// static binding is replaced by least-loaded device selection with
+/// idle-device stealing: service times feed the tracker's EWMA, a lost
+/// device is excluded for every worker, and a worker that moves frees what
+/// it left on the old device. The rendered image is identical either way.
 /// With `failures` set, the region's full per-stage failure report is
 /// copied out after the run (empty on clean runs) — callers can flag
 /// unrecovered stage failures even when a full image was produced.

@@ -128,7 +128,7 @@ struct ServiceImpl {
 
   gpusim::Machine* machine;
   ServiceConfig config;
-  BreakerBoard breakers;
+  sched::BreakerBoard breakers;
   std::optional<sched::DeviceLoadTracker> tracker;
   RetryStats retry_stats;
 
@@ -255,6 +255,9 @@ class WorkerNode final : public flow::Node {
     if (deadline != 0) out.set_deadline_ns(deadline);
     return flow::SvcResult::Out(std::move(out));
   }
+
+  // Frees the engine's device scratch while the machine is still bound.
+  void on_end() override { engine_.reset(); }
 
  private:
   detail::ServiceImpl* impl_;
@@ -599,7 +602,7 @@ ServiceStats Service::stats() const {
 
 const RetryStats& Service::retry_stats() const { return impl_->retry_stats; }
 
-BreakerBoard& Service::breakers() { return impl_->breakers; }
+sched::BreakerBoard& Service::breakers() { return impl_->breakers; }
 
 telemetry::HistogramSnapshot Service::latency() const {
   if (impl_->latency_hist == nullptr) return {};

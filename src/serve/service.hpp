@@ -39,8 +39,8 @@
 #include "common/retry.hpp"
 #include "common/status.hpp"
 #include "gpusim/device.hpp"
+#include "sched/breaker.hpp"
 #include "sched/sched.hpp"
-#include "serve/breaker.hpp"
 #include "serve/jobs.hpp"
 #include "serve/scale.hpp"
 #include "telemetry/telemetry.hpp"
@@ -109,7 +109,7 @@ struct ServiceConfig {
   std::uint64_t default_deadline_ns = 0;
   sched::SchedMode sched = sched::SchedMode::kStatic;
   RetryPolicy retry;
-  BreakerConfig breaker;
+  sched::BreakerConfig breaker;
   /// flow queue capacity between source/farm/sink.
   std::size_t queue_capacity = 256;
   /// Telemetry sinks (null = uninstrumented). Metric names use `prefix`;
@@ -167,7 +167,7 @@ class Service {
 
   [[nodiscard]] ServiceStats stats() const;
   [[nodiscard]] const RetryStats& retry_stats() const;
-  [[nodiscard]] BreakerBoard& breakers();
+  [[nodiscard]] sched::BreakerBoard& breakers();
   /// Latency histogram snapshot of completed jobs ("<prefix>.latency_ns").
   [[nodiscard]] telemetry::HistogramSnapshot latency() const;
   /// Jobs currently queued across all tenants.
