@@ -13,21 +13,6 @@ ShardedDupIndex::ShardedDupIndex(int nodes) {
   ids_.resize(static_cast<std::size_t>(nodes));
 }
 
-Status ShardedDupIndex::open(const std::string& dir) {
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Status s = shards_[i]->open(dir + "/shard-" + std::to_string(i));
-    if (!s.ok()) return s;
-  }
-  return OkStatus();
-}
-
-Status ShardedDupIndex::spill() {
-  for (auto& shard : shards_) {
-    if (Status s = shard->spill(); !s.ok()) return s;
-  }
-  return OkStatus();
-}
-
 void ShardedDupIndex::check(dedup::Batch& batch, int origin_node) {
   for (dedup::BlockInfo& block : batch.blocks) {
     const int o = owner(block.digest);

@@ -41,10 +41,6 @@ int ThreadPool::current_worker_index() const {
   return tls_pool == this ? tls_worker_index : -1;
 }
 
-std::uint64_t ThreadPool::steal_count() const {
-  return steals_.load(std::memory_order_relaxed);
-}
-
 void ThreadPool::submit(Task task) {
   assert(task && "null task");
   int self = current_worker_index();
@@ -76,7 +72,6 @@ bool ThreadPool::try_steal(std::size_t thief, Task& out) {
     if (w.deque.empty()) continue;
     out = std::move(w.deque.front());  // victim head: FIFO
     w.deque.pop_front();
-    steals_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
   return false;

@@ -49,10 +49,6 @@ class ThreadPool {
   /// a non-worker thread.
   [[nodiscard]] int current_worker_index() const;
 
-  /// Number of tasks stolen across all workers (scheduling introspection,
-  /// used by tests and the substrate microbench).
-  [[nodiscard]] std::uint64_t steal_count() const;
-
   /// Runs queued tasks on the calling thread until `done` returns true.
   /// Used by blocking waits (pipeline run, parallel_for) so the waiting
   /// thread lends itself to the pool instead of idling — this also makes
@@ -76,7 +72,6 @@ class ThreadPool {
   std::mutex wake_mu_;
   std::condition_variable wake_cv_;
   bool stop_ = false;
-  std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::size_t> next_submit_{0};
 };
 
