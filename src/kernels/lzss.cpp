@@ -399,10 +399,4 @@ void lzss_encode_from_matches(std::span<const std::uint8_t> input,
               [&](std::size_t pos) { return matches[pos]; }, out);
 }
 
-std::uint64_t lzss_match_cost(std::size_t block_start, std::size_t pos,
-                              const LzssParams& params) {
-  std::size_t distance = pos - block_start;
-  return 1 + std::min<std::size_t>(distance, params.window_size);
-}
-
 }  // namespace hs::kernels

@@ -19,6 +19,7 @@
 // (source indices stay below the current position, as in Listing 3).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -139,8 +140,13 @@ void lzss_encode_from_matches(std::span<const std::uint8_t> input,
 
 /// Work units (input-byte comparisons) the cost model charges one simulated
 /// GPU lane for matching position `pos`; mirrors the Listing 3 loop trip
-/// count: scan length of the window clamped to the block.
-std::uint64_t lzss_match_cost(std::size_t block_start, std::size_t pos,
-                              const LzssParams& params);
+/// count: scan length of the window clamped to the block. Inline: the
+/// modeled FindMatch kernels evaluate it once per lane, about 10^9 times in
+/// a few seconds of modeled replays.
+inline std::uint64_t lzss_match_cost(std::size_t block_start, std::size_t pos,
+                                     const LzssParams& params) {
+  const std::size_t distance = pos - block_start;
+  return 1 + std::min<std::size_t>(distance, params.window_size);
+}
 
 }  // namespace hs::kernels
