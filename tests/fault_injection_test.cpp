@@ -174,6 +174,38 @@ TEST(ShimSurfacingTest, ClApiMapsLostDeviceAndOom) {
   clSimBindMachine(nullptr);
 }
 
+TEST(ShimSurfacingTest, OclxMapsLostDeviceAndOom) {
+  auto machine = gpusim::Machine::Create(1, gpusim::DeviceSpec::TitanXP());
+  FaultPlan plan;
+  plan.fail_nth(FaultSite::kAlloc, 1);
+  machine->device(0).set_fault_plan(std::move(plan));
+
+  auto platforms = oclx::Platform::get(machine.get());
+  ASSERT_EQ(platforms.size(), 1u);
+  const auto devices = platforms[0].devices();
+  ASSERT_EQ(devices.size(), 1u);
+  auto ctx = oclx::Context::create(devices);
+  ASSERT_TRUE(ctx.ok());
+  auto queue = oclx::CommandQueue::create(ctx.value(), devices[0]);
+  ASSERT_TRUE(queue.ok());
+
+  auto buf = oclx::Buffer::create(ctx.value(), devices[0], 64);
+  ASSERT_FALSE(buf.ok());
+  EXPECT_EQ(oclx::cl_status_from(buf.status()),
+            oclx::ClStatus::kOutOfResources);
+
+  machine->device(0).mark_lost();
+  buf = oclx::Buffer::create(ctx.value(), devices[0], 64);
+  ASSERT_FALSE(buf.ok());
+  EXPECT_EQ(oclx::cl_status_from(buf.status()),
+            oclx::ClStatus::kDeviceNotAvailable);
+
+  auto kernel = oclx::Kernel::create("noop", [](const gpusim::ThreadCtx&) {});
+  EXPECT_EQ(queue.value().enqueue_ndrange(kernel, gpusim::Dim3{64, 1, 1},
+                                          gpusim::Dim3{32, 1, 1}, nullptr),
+            oclx::ClStatus::kDeviceNotAvailable);
+}
+
 // ---- retry policy -----------------------------------------------------------------
 
 /// retry_status delay hook that does not sleep.
