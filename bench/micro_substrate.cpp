@@ -1,6 +1,6 @@
 // Substrate microbenchmarks (real wall time): the lock-free SPSC queue,
 // flow farm throughput, taskx token pipeline, the computational kernels
-// (SHA-1, SHA-256, rabin, LZSS), and the dedup end-to-end datapath.
+// (SHA-1, rabin, LZSS), and the dedup end-to-end datapath.
 //
 // Unlike the figure benches (which report modeled time on the calibrated
 // machine), these measure this host directly and exist to validate that
@@ -50,7 +50,6 @@
 #include "kernels/mandel.hpp"
 #include "kernels/rabin.hpp"
 #include "kernels/sha1.hpp"
-#include "kernels/sha256.hpp"
 #include "kernels/simd/dispatch.hpp"
 #include "kernels/simd/rabin_lanes.hpp"
 #include "kernels/simd/sha1_mb.hpp"
@@ -179,15 +178,6 @@ void BM_Sha1(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Sha1)->Arg(4096)->Arg(1 << 20);
-
-void BM_Sha256(benchmark::State& state) {
-  auto data = bench_data(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kernels::Sha256::hash(data));
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_Sha256)->Arg(1 << 20);
 
 void BM_RabinChunking(benchmark::State& state) {
   auto data = bench_data(static_cast<std::size_t>(state.range(0)));
@@ -574,7 +564,11 @@ struct KernelRow {
 /// define the block table, then each kernel runs over the same input/blocks
 /// with the level forced. GB/s of input consumed, best of `reps`. The
 /// outputs are bit-identical across levels (asserted by the differential
-/// suite), so rows differ only in time.
+/// suite), so rows differ only in time. A row is emitted only for a body
+/// that exists: sha1 and the legacy matcher have one per level, rabin only
+/// scalar and AVX2 (sse42 runs the scalar walk), and the e2e lzss_match
+/// config (the chain matcher by default, whose compare is scalar) is timed
+/// once, at scalar.
 std::vector<KernelRow> kernel_dispatch_rows(int reps) {
   namespace simd = kernels::simd;
   datagen::CorpusSpec spec;
@@ -620,14 +614,13 @@ std::vector<KernelRow> kernel_dispatch_rows(int reps) {
     if (!simd::supports(level)) continue;
     simd::set_active_level(level);
     const std::string name(simd::level_name(level));
-    // Explicit-level entry: the bench must measure the real per-level body
-    // even where the dispatcher's benchmark-or-skip probe would demote it
-    // (the sse42 row documents the regression the demotion exists for).
-    rows.push_back({"rabin", name, best_of([&] {
-                      simd::rabin_boundaries_at(level, rabin, input, cuts,
-                                                &rscratch);
-                      benchmark::DoNotOptimize(cuts.data());
-                    })});
+    if (level != simd::Level::kSse42) {
+      rows.push_back({"rabin", name, best_of([&] {
+                        simd::rabin_boundaries_at(level, rabin, input, cuts,
+                                                  &rscratch);
+                        benchmark::DoNotOptimize(cuts.data());
+                      })});
+    }
     rows.push_back({"sha1", name, best_of([&] {
                       simd::sha1_many(jobs.data(), jobs.size(), &sscratch);
                       benchmark::DoNotOptimize(digests.data());
@@ -646,7 +639,9 @@ std::vector<KernelRow> kernel_dispatch_rows(int reps) {
         }
       });
     };
-    rows.push_back({"lzss_match", name, lzss_row(cfg.lzss)});
+    if (level == simd::Level::kScalar) {
+      rows.push_back({"lzss_match", name, lzss_row(cfg.lzss)});
+    }
     // Seed-configuration reference (brute-force window 256): the CI perf
     // gate asserts chain/legacy from the same run, immune to host noise.
     kernels::LzssParams legacy = cfg.lzss;
@@ -720,8 +715,6 @@ void write_json(const std::string& path, const std::vector<E2eRow>& rows,
       << kernels::simd::level_name(kernels::simd::active_level())
       << "\", \"best_supported\": \""
       << kernels::simd::level_name(kernels::simd::best_supported())
-      << "\", \"rabin_effective_level\": \""
-      << kernels::simd::level_name(kernels::simd::rabin_effective_level())
       << "\", \"sha1_ni\": "
       << (kernels::simd::sha1_ni_available() ? "true" : "false") << "},\n";
   out << "  \"dedup_steady_state\": {\"batches\": " << steady.batches

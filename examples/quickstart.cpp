@@ -12,7 +12,7 @@
 #include <string>
 
 #include "common/cli.hpp"
-#include "kernels/sha256.hpp"
+#include "kernels/sha1.hpp"
 #include "spar/spar.hpp"
 
 namespace {
@@ -53,7 +53,7 @@ int main(int argc, const char** argv) {
   // [[spar::Stage, spar::Replicate(workers)]]: stateless, replicated.
   region.stage<Sentence, Digested>(
       hs::spar::Replicate(workers), [](Sentence s) {
-        auto digest = hs::kernels::Sha256::hash(std::span<const std::uint8_t>(
+        auto digest = hs::kernels::Sha1::hash(std::span<const std::uint8_t>(
             reinterpret_cast<const std::uint8_t*>(s.text.data()),
             s.text.size()));
         return Digested{s.id, hs::kernels::digest_hex(digest)};

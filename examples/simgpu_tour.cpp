@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "cudax/cudax.hpp"
-#include "oclx/cl_api.hpp"
 #include "oclx/oclx.hpp"
 
 namespace {
@@ -123,49 +122,10 @@ int opencl_tour(hs::gpusim::Machine& machine) {
 
 }  // namespace
 
-int raw_cl_tour(hs::gpusim::Machine& machine) {
-  using namespace hs::oclx::capi;
-  std::printf("\n== raw OpenCL C API ==\n");
-  clSimBindMachine(&machine);
-  cl_platform_id platform = nullptr;
-  cl_uint n = 0;
-  if (clGetPlatformIDs(1, &platform, &n) != CL_SUCCESS) return 1;
-  cl_device_id device = nullptr;
-  if (clGetDeviceIDs(platform, 1, &device, &n) != CL_SUCCESS) return 1;
-  cl_ulong mem = 0;
-  clGetDeviceInfo(device, CL_DEVICE_GLOBAL_MEM_SIZE, sizeof(mem), &mem,
-                  nullptr);
-  std::printf("device 0 global memory: %llu MiB\n",
-              static_cast<unsigned long long>(mem >> 20));
-  cl_int err = CL_SUCCESS;
-  cl_context ctx = clCreateContext(&device, 1, &err);
-  cl_command_queue queue = clCreateCommandQueue(ctx, device, &err);
-  cl_mem buf = clCreateBuffer(ctx, 1024, &err);
-  cl_kernel kernel = clCreateKernelFromCallback(
-      ctx, "noop", [](const hs::gpusim::ThreadCtx&) -> std::uint64_t {
-        return 1;
-      },
-      &err);
-  cl_event done = nullptr;
-  clEnqueueNDRangeKernel(queue, kernel, 1024, 256, &done);
-  cl_int waited = clWaitForEvents(1, &done);
-  std::printf("clEnqueueNDRangeKernel + clWaitForEvents: %s\n",
-              waited == CL_SUCCESS ? "CL_SUCCESS" : "error");
-  clReleaseEvent(done);
-  clReleaseKernel(kernel);
-  clReleaseMemObject(buf);
-  clReleaseCommandQueue(queue);
-  clReleaseContext(ctx);
-  clSimBindMachine(nullptr);
-  return waited == CL_SUCCESS ? 0 : 1;
-}
-
 int main() {
   auto machine =
       hs::gpusim::Machine::Create(2, hs::gpusim::DeviceSpec::TitanXP());
   int rc = cuda_tour(*machine);
   if (rc != 0) return rc;
-  rc = opencl_tour(*machine);
-  if (rc != 0) return rc;
-  return raw_cl_tour(*machine);
+  return opencl_tour(*machine);
 }

@@ -10,8 +10,7 @@
 // returns its dependency, so the schedule is the single-host one.
 //
 // This half of the cluster layer knows no app: the apps' libraries link it,
-// and the app-aware half (stage-graph builders, sharded dup index) links
-// the apps.
+// and the app-aware half (stage-graph builders) links the apps.
 #pragma once
 
 #include <cstdint>

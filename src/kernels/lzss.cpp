@@ -260,7 +260,7 @@ void encode_dispatch(std::span<const std::uint8_t> input,
                      const LzssParams& params, Sink& out_bytes) {
   if (params.mode == LzssMode::kChain) {
     simd::LzssChainMatcher& matcher = chain_matcher();
-    matcher.reset(input, params, simd::active_level());
+    matcher.reset(input, params);
     encode_chain_walk(matcher, input, block_start, block_end, params,
                       out_bytes);
     return;
@@ -348,7 +348,7 @@ void find_matches_batch(std::span<const std::uint8_t> input,
     // yields the same per-position result as the inline per-block encoder
     // — the cross-variant bit-identity the tests assert.
     simd::LzssChainMatcher& matcher = chain_matcher();
-    matcher.reset(input, params, simd::active_level());
+    matcher.reset(input, params);
     std::size_t block_idx = 0;
     for (std::size_t pos = 0; pos < input.size(); ++pos) {
       while (block_idx + 1 < start_pos.size() &&

@@ -1,9 +1,11 @@
 // Runtime SIMD dispatch for the data-parallel CPU kernels (DESIGN.md §4g).
 //
-// The dedup hot kernels (multi-buffer SHA-1, the rabin lane scanner, the
-// LZSS match finder) each ship a scalar, an SSE4.2 and an AVX2 body. The
-// level is chosen ONCE at process startup from CPUID and cached; every
-// kernel call then reads one relaxed atomic — no per-call feature tests.
+// The dedup hot kernels ship per-level bodies: multi-buffer SHA-1 and the
+// legacy LZSS longest-match search have a scalar, an SSE4.2 and an AVX2
+// body; the rabin lane scanner has a scalar and an AVX2 body (kSse42 runs
+// the scalar walk). The level is chosen ONCE at process startup from CPUID
+// and cached; every kernel call then reads one relaxed atomic — no
+// per-call feature tests.
 //
 // Override for testing and A/B runs: HS_SIMD=scalar|sse42|avx2 in the
 // environment. A requested level the host cannot execute is clamped down

@@ -8,14 +8,13 @@
 namespace hs::kernels::simd {
 
 void LzssChainMatcher::reset(std::span<const std::uint8_t> input,
-                             const LzssParams& params, Level level) {
+                             const LzssParams& params) {
   assert(params.valid());
   assert(input.size() <=
          static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()));
   base_ = input.data();
   size_ = input.size();
   params_ = params;
-  compare_ = match_compare_fn(level);
   const std::uint32_t slots = std::bit_ceil(params.window_size);
   prev_mask_ = slots - 1;
   if (head_.empty()) head_.assign(std::size_t{1} << kHashBits, 0);

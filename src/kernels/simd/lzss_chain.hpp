@@ -18,10 +18,10 @@
 // find() walks a position's chain newest-first, keeps the longest match
 // (ties keep the NEWER candidate — smaller offset — unlike legacy's
 // oldest-first scan, which is why the modes golden separately), prunes
-// with the classic would-extend byte test, extends with the per-level
-// vectorized compare (match_compare_fn), and gives up after
-// params.chain_depth links or as soon as the best possible length is
-// reached.
+// with the classic would-extend byte test, extends with a scalar
+// word-at-a-time compare (at max_match 18 a match has at most 18 bytes, too
+// few for a vector step to pay), and gives up after params.chain_depth
+// links or as soon as the best possible length is reached.
 //
 // Purity contract (what keeps every pipeline variant bit-identical in
 // chain mode): the result of find(block_start, block_end, pos) depends
@@ -48,8 +48,6 @@
 #include <vector>
 
 #include "kernels/lzss.hpp"
-#include "kernels/simd/dispatch.hpp"
-#include "kernels/simd/lzss_match.hpp"
 
 namespace hs::kernels::simd {
 
@@ -61,11 +59,9 @@ class LzssChainMatcher {
   static constexpr std::uint32_t kHashBytes = 3;
 
   /// Re-anchors the matcher onto `input` (a whole batch; block bounds are
-  /// per-call). Invalidates all previous insertions in O(1). `level`
-  /// picks the vectorized extend body; the match results are identical at
-  /// every level. Requires input.size() < 2^31.
-  void reset(std::span<const std::uint8_t> input, const LzssParams& params,
-             Level level);
+  /// per-call). Invalidates all previous insertions in O(1). Requires
+  /// input.size() < 2^31.
+  void reset(std::span<const std::uint8_t> input, const LzssParams& params);
 
   /// Longest match for `pos` among inserted positions in
   /// [max(block_start, pos - window), pos), newest first, bounded depth.
@@ -107,25 +103,7 @@ class LzssChainMatcher {
       // best.length < limit <= pos - cand and < block_end - pos.
       if (limit > best.length &&
           base[cand + best.length] == base[pos + best.length]) {
-        // Inlined first-8-bytes compare (the common case at max_match 18
-        // — an indirect call per candidate would dominate the walk); the
-        // per-level vectorized body only extends tails past 8. Loads are
-        // in bounds: limit >= 8 implies pos + 8 <= block_end and
-        // cand + 8 <= pos.
-        std::size_t len;
-        if (limit >= 8) {
-          std::uint64_t x, y;
-          std::memcpy(&x, base + cand, 8);
-          std::memcpy(&y, base + pos, 8);
-          if (x != y) {
-            len = static_cast<std::size_t>(std::countr_zero(x ^ y)) >> 3;
-          } else {
-            len = 8 + compare_(base + cand + 8, base + pos + 8, limit - 8);
-          }
-        } else {
-          len = 0;
-          while (len < limit && base[cand + len] == base[pos + len]) ++len;
-        }
+        const std::size_t len = common_prefix(base + cand, base + pos, limit);
         if (len > best.length) {
           best.length = static_cast<std::uint16_t>(len);
           best.offset = static_cast<std::uint16_t>(pos - cand);
@@ -164,6 +142,28 @@ class LzssChainMatcher {
   static constexpr std::uint32_t kHashBits = 13;
   static constexpr std::int32_t kNone = -1;
 
+  /// Common-prefix length of `a` and `b`, up to `limit` bytes, comparing
+  /// from byte 0 (hash-chain candidates can collide, so nothing is assumed
+  /// matched). Loads stay below a + limit and b + limit.
+  static std::size_t common_prefix(const std::uint8_t* a,
+                                   const std::uint8_t* b, std::size_t limit) {
+    std::size_t len = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      while (len + 8 <= limit) {
+        std::uint64_t x, y;
+        std::memcpy(&x, a + len, 8);
+        std::memcpy(&y, b + len, 8);
+        if (x != y) {
+          return len +
+                 (static_cast<std::size_t>(std::countr_zero(x ^ y)) >> 3);
+        }
+        len += 8;
+      }
+    }
+    while (len < limit && a[len] == b[len]) ++len;
+    return len;
+  }
+
   [[nodiscard]] std::uint32_t hash3(std::size_t pos) const {
     std::uint32_t v = static_cast<std::uint32_t>(base_[pos]) |
                       (static_cast<std::uint32_t>(base_[pos + 1]) << 8) |
@@ -174,7 +174,6 @@ class LzssChainMatcher {
   const std::uint8_t* base_ = nullptr;
   std::size_t size_ = 0;
   LzssParams params_{};
-  MatchCompareFn compare_ = nullptr;
   std::uint32_t prev_mask_ = 0;  ///< P - 1
   std::uint32_t generation_ = 0;
   std::vector<std::uint64_t> head_;  ///< (generation << 32) | position

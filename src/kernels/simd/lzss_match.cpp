@@ -67,35 +67,6 @@ LzssMatch lzss_longest_match_scalar(std::span<const std::uint8_t> input,
   return best;
 }
 
-std::size_t match_common_prefix_scalar(const std::uint8_t* a,
-                                       const std::uint8_t* b,
-                                       std::size_t limit) {
-  std::size_t len = 0;
-  if constexpr (std::endian::native == std::endian::little) {
-    while (len + 8 <= limit) {
-      std::uint64_t x, y;
-      std::memcpy(&x, a + len, 8);
-      std::memcpy(&y, b + len, 8);
-      if (x != y) {
-        return len + (static_cast<std::size_t>(std::countr_zero(x ^ y)) >> 3);
-      }
-      len += 8;
-    }
-  }
-  while (len < limit && a[len] == b[len]) ++len;
-  return len;
-}
-
-MatchCompareFn match_compare_fn(Level level) {
-  if (level > best_supported()) level = best_supported();
-  switch (level) {
-    case Level::kAvx2: return &match_common_prefix_avx2;
-    case Level::kSse42: return &match_common_prefix_sse42;
-    case Level::kScalar: break;
-  }
-  return &match_common_prefix_scalar;
-}
-
 LzssMatch lzss_longest_match_at(Level level,
                                 std::span<const std::uint8_t> input,
                                 std::size_t block_start, std::size_t block_end,

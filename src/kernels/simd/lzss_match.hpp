@@ -43,26 +43,4 @@ LzssMatch lzss_longest_match_avx2(std::span<const std::uint8_t> input,
                                   std::size_t block_end, std::size_t pos,
                                   const LzssParams& params);
 
-/// Common-prefix length of `a` and `b`, up to `limit` bytes, comparing
-/// from byte 0 (hash-chain candidates can collide, so nothing is assumed
-/// matched). Every level returns the identical length; the wide bodies
-/// compare 16/32 bytes per step. This is the extend step of the chain
-/// matcher (lzss_chain.hpp).
-using MatchCompareFn = std::size_t (*)(const std::uint8_t* a,
-                                       const std::uint8_t* b,
-                                       std::size_t limit);
-
-std::size_t match_common_prefix_scalar(const std::uint8_t* a,
-                                       const std::uint8_t* b,
-                                       std::size_t limit);
-std::size_t match_common_prefix_sse42(const std::uint8_t* a,
-                                      const std::uint8_t* b,
-                                      std::size_t limit);
-std::size_t match_common_prefix_avx2(const std::uint8_t* a,
-                                     const std::uint8_t* b,
-                                     std::size_t limit);
-
-/// Compare body for `level`; levels above the host's support are clamped.
-MatchCompareFn match_compare_fn(Level level);
-
 }  // namespace hs::kernels::simd

@@ -39,18 +39,6 @@ LzssMatch lzss_longest_match_avx2(std::span<const std::uint8_t> input,
                                                 pos, params);
 }
 
-std::size_t match_common_prefix_avx2(const std::uint8_t* a,
-                                     const std::uint8_t* b,
-                                     std::size_t limit) {
-  std::size_t len = 0;
-  while (len + Avx2Traits::kWidth <= limit) {
-    const unsigned neq = Avx2Traits::neq_mask(a + len, b + len);
-    if (neq != 0) return len + std::countr_zero(neq);
-    len += Avx2Traits::kWidth;
-  }
-  return len + match_common_prefix_sse42(a + len, b + len, limit - len);
-}
-
 }  // namespace hs::kernels::simd
 
 #else  // !__AVX2__
@@ -61,11 +49,6 @@ LzssMatch lzss_longest_match_avx2(std::span<const std::uint8_t> input,
                                   std::size_t block_end, std::size_t pos,
                                   const LzssParams& params) {
   return lzss_longest_match_sse42(input, block_start, block_end, pos, params);
-}
-std::size_t match_common_prefix_avx2(const std::uint8_t* a,
-                                     const std::uint8_t* b,
-                                     std::size_t limit) {
-  return match_common_prefix_sse42(a, b, limit);
 }
 }  // namespace hs::kernels::simd
 

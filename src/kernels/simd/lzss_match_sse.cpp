@@ -38,18 +38,6 @@ LzssMatch lzss_longest_match_sse42(std::span<const std::uint8_t> input,
                                                pos, params);
 }
 
-std::size_t match_common_prefix_sse42(const std::uint8_t* a,
-                                      const std::uint8_t* b,
-                                      std::size_t limit) {
-  std::size_t len = 0;
-  while (len + SseTraits::kWidth <= limit) {
-    const unsigned neq = SseTraits::neq_mask(a + len, b + len);
-    if (neq != 0) return len + std::countr_zero(neq);
-    len += SseTraits::kWidth;
-  }
-  return len + match_common_prefix_scalar(a + len, b + len, limit - len);
-}
-
 }  // namespace hs::kernels::simd
 
 #else  // !__SSE4_2__
@@ -60,11 +48,6 @@ LzssMatch lzss_longest_match_sse42(std::span<const std::uint8_t> input,
                                    std::size_t block_end, std::size_t pos,
                                    const LzssParams& params) {
   return lzss_longest_match_scalar(input, block_start, block_end, pos, params);
-}
-std::size_t match_common_prefix_sse42(const std::uint8_t* a,
-                                      const std::uint8_t* b,
-                                      std::size_t limit) {
-  return match_common_prefix_scalar(a, b, limit);
 }
 }  // namespace hs::kernels::simd
 

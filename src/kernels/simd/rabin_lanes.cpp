@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <string_view>
 
 namespace hs::kernels::simd {
 
@@ -63,58 +60,6 @@ void reconcile(const std::uint64_t* bits, std::size_t n,
   }
 }
 
-/// Benchmark-or-skip probe for the SSE4.2 body: times both phase-1 kernels
-/// over a synthetic buffer and keeps SSE4.2 only if it actually wins. Runs
-/// once per process, on the first dispatched rabin_boundaries call that
-/// would pick kSse42 (~1 ms); the verdict is cached for the process
-/// lifetime. Correctness is never at stake — both bodies are bit-identical
-/// — only which one gets the hot path.
-bool sse42_measured_faster() {
-  constexpr std::size_t kProbeBytes = 256 * 1024;
-  std::vector<std::uint8_t> data(kProbeBytes);
-  std::uint64_t x = 0x9E3779B97F4A7C15ull;  // deterministic splitmix fill
-  for (std::size_t i = 0; i < kProbeBytes; ++i) {
-    x += 0x9E3779B97F4A7C15ull;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    data[i] = static_cast<std::uint8_t>(z ^ (z >> 31));
-  }
-  const Rabin rabin{};
-  std::vector<std::uint64_t> bits((kProbeBytes + 63) / 64);
-  using Body = void (*)(const Rabin&, std::span<const std::uint8_t>,
-                        std::uint64_t*);
-  const auto best_ns = [&](Body body) {
-    std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
-    for (int rep = 0; rep < 4; ++rep) {  // rep 0 warms caches, still timed
-      const auto t0 = std::chrono::steady_clock::now();
-      body(rabin, data, bits.data());
-      const auto t1 = std::chrono::steady_clock::now();
-      best = std::min(best, static_cast<std::uint64_t>(
-                                std::chrono::duration_cast<
-                                    std::chrono::nanoseconds>(t1 - t0)
-                                    .count()));
-    }
-    return best;
-  };
-  const std::uint64_t scalar_ns = best_ns(&rabin_match_bits_scalar);
-  const std::uint64_t sse42_ns = best_ns(&rabin_match_bits_sse42);
-  return sse42_ns < scalar_ns;
-}
-
-bool sse42_profitable() {
-  static const bool profitable = [] {
-    const char* env = std::getenv("HS_RABIN_SSE42");
-    if (env != nullptr) {
-      const std::string_view v = env;
-      if (v == "on" || v == "1") return true;
-      if (v == "off" || v == "0") return false;
-      // anything else (including "probe") falls through to the measurement
-    }
-    return sse42_measured_faster();
-  }();
-  return profitable;
-}
-
 }  // namespace
 
 void rabin_match_bits_scalar(const Rabin& rabin,
@@ -145,39 +90,23 @@ void rabin_boundaries_at(Level level, const Rabin& rabin,
                          std::vector<std::uint32_t>& starts,
                          RabinScratch* scratch) {
   if (level > best_supported()) level = best_supported();
-  // Below ~two blocks the bitmap pass cannot win; the scalar walk also
-  // serves as the kScalar reference body.
-  if (level == Level::kScalar || data.size() < rabin.params().min_block * 2) {
+  // Below ~two blocks the bitmap pass cannot win; the scalar walk is also
+  // the kScalar and kSse42 body.
+  if (level != Level::kAvx2 || data.size() < rabin.params().min_block * 2) {
     rabin.chunk_boundaries_into(data, starts);
     return;
   }
   RabinScratch local;
   RabinScratch& s = scratch != nullptr ? *scratch : local;
   s.bits.resize((data.size() + 63) / 64);
-  switch (level) {
-    case Level::kAvx2:
-      rabin_match_bits_avx2(rabin, data, s.bits.data());
-      break;
-    case Level::kSse42:
-      rabin_match_bits_sse42(rabin, data, s.bits.data());
-      break;
-    case Level::kScalar:
-      rabin_match_bits_scalar(rabin, data, s.bits.data());
-      break;
-  }
+  rabin_match_bits_avx2(rabin, data, s.bits.data());
   reconcile(s.bits.data(), data.size(), rabin.params(), starts);
-}
-
-Level rabin_effective_level() {
-  const Level level = active_level();
-  if (level == Level::kSse42 && !sse42_profitable()) return Level::kScalar;
-  return level;
 }
 
 void rabin_boundaries(const Rabin& rabin, std::span<const std::uint8_t> data,
                       std::vector<std::uint32_t>& starts,
                       RabinScratch* scratch) {
-  rabin_boundaries_at(rabin_effective_level(), rabin, data, starts, scratch);
+  rabin_boundaries_at(active_level(), rabin, data, starts, scratch);
 }
 
 }  // namespace hs::kernels::simd

@@ -7,11 +7,11 @@
 // position-independent and free of the boundary-reset history. So the scan
 // splits into two phases:
 //
-//   1. Match bitmap (data-parallel): the buffer is cut into L stripes, one
-//      per 64-bit SIMD lane; each lane warms up on `window-1` bytes of left
+//   1. Match bitmap (data-parallel): the buffer is cut into 4 stripes, one
+//      per 64-bit AVX2 lane; each lane warms up on `window-1` bytes of left
 //      context and then rolls independently, recording a bit wherever
 //      (fp & mask) == magic. Lanes share no state, so the multiply latency
-//      is hidden L-ways.
+//      is hidden 4-ways.
 //   2. Reconciliation (sequential, cheap): a walk over the bitmap replays
 //      the boundary decisions — first set bit in [start+min_block-1,
 //      start+max_block-1) cuts, else a forced cut at max_block — touching
@@ -40,27 +40,17 @@ struct RabinScratch {
 };
 
 /// Drop-in replacement for Rabin::chunk_boundaries_into, dispatched on
-/// rabin_effective_level(). Output (including the leading 0 and empty-input
+/// active_level(). Output (including the leading 0 and empty-input
 /// behaviour) is bit-identical to the scalar walk.
 void rabin_boundaries(const Rabin& rabin, std::span<const std::uint8_t> data,
                       std::vector<std::uint32_t>& starts,
                       RabinScratch* scratch = nullptr);
 
-/// The level rabin_boundaries actually runs at: active_level(), except that
-/// kSse42 demotes to kScalar when a one-shot startup probe measures the
-/// SSE4.2 bitmap body slower than the scalar walk on this host. SSE4.2 has
-/// no 64-bit lane multiply, so its two lanes are stitched from 32-bit
-/// products — on some cores that emulation loses to the scalar rolling loop
-/// (BENCH_micro.json once recorded 0.50 GB/s sse42 vs 0.92 scalar), and a
-/// "wider" kernel that is measurably slower should not be dispatched to.
-/// AVX2 is never probed (true 64-bit lanes, always ahead). Explicit-level
-/// callers (rabin_boundaries_at) bypass the demotion — tests and the kernel
-/// bench must still exercise the real SSE4.2 body. HS_RABIN_SSE42=on|off
-/// overrides the probe for triage.
-[[nodiscard]] Level rabin_effective_level();
-
 /// Explicit-level entry (tests / kernel bench); levels above the host's
-/// support are clamped. kScalar runs the original rolling walk.
+/// support are clamped. kAvx2 runs the 4-lane bitmap body; kScalar and
+/// kSse42 run the original rolling walk (SSE4.2 has no 64-bit lane
+/// multiply, and a 2-lane body stitched from 32-bit products did not beat
+/// the walk reliably).
 void rabin_boundaries_at(Level level, const Rabin& rabin,
                          std::span<const std::uint8_t> data,
                          std::vector<std::uint32_t>& starts,
@@ -68,13 +58,10 @@ void rabin_boundaries_at(Level level, const Rabin& rabin,
 
 // Phase 1 bodies: fill `bits` ((data.size()+63)/64 words, zeroed by the
 // callee) with the per-position match bitmap. Exposed for the kernel
-// bench; SSE4.2/AVX2 fall back to scalar without x86 intrinsics.
+// bench; AVX2 falls back to scalar without x86 intrinsics.
 void rabin_match_bits_scalar(const Rabin& rabin,
                              std::span<const std::uint8_t> data,
                              std::uint64_t* bits);
-void rabin_match_bits_sse42(const Rabin& rabin,
-                            std::span<const std::uint8_t> data,
-                            std::uint64_t* bits);
 void rabin_match_bits_avx2(const Rabin& rabin,
                            std::span<const std::uint8_t> data,
                            std::uint64_t* bits);

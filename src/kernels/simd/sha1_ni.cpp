@@ -2,17 +2,15 @@
 // on x86; other targets compile the fallback half of this file only.
 #include "kernels/simd/sha1_ni.hpp"
 
-#include <cstdlib>
 #include <cstring>
-#include <string_view>
 
 #include "kernels/simd/dispatch.hpp"
 
 #if defined(__SHA__) && defined(__SSE4_1__)
-#define HS_SHA1_NI_COMPILED 1
+#define HS_SHA_EXT_COMPILED 1
 #include <immintrin.h>
 #else
-#define HS_SHA1_NI_COMPILED 0
+#define HS_SHA_EXT_COMPILED 0
 #endif
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -24,7 +22,7 @@ namespace hs::kernels::simd {
 namespace {
 
 bool cpu_has_sha_extensions() {
-#if (defined(__x86_64__) || defined(__i386__)) && HS_SHA1_NI_COMPILED
+#if (defined(__x86_64__) || defined(__i386__)) && HS_SHA_EXT_COMPILED
   // Structured extended feature leaf: SHA is CPUID.(EAX=7,ECX=0):EBX[29].
   // Not part of __builtin_cpu_supports' portable name set, so query the
   // leaf directly.
@@ -36,17 +34,7 @@ bool cpu_has_sha_extensions() {
 #endif
 }
 
-bool resolve_available() {
-  if (const char* env = std::getenv("HS_SHA1_NI");
-      env != nullptr && env[0] != '\0') {
-    const std::string_view v(env);
-    if (v == "off" || v == "0") return false;
-    if (v == "on" || v == "1") return HS_SHA1_NI_COMPILED != 0;
-  }
-  return cpu_has_sha_extensions();
-}
-
-#if HS_SHA1_NI_COMPILED
+#if HS_SHA_EXT_COMPILED
 
 /// Runs the 80-round compression over `blocks` consecutive 64-byte blocks.
 /// `state` is h0..h4 in natural (word) order, as Sha1 keeps them.
@@ -177,17 +165,17 @@ Sha1Digest hash_ni_impl(std::span<const std::uint8_t> data) {
   return out;
 }
 
-#endif  // HS_SHA1_NI_COMPILED
+#endif  // HS_SHA_EXT_COMPILED
 
 }  // namespace
 
 bool sha1_ni_available() {
-  static const bool available = resolve_available();
+  static const bool available = cpu_has_sha_extensions();
   return available;
 }
 
 Sha1Digest sha1_hash_ni(std::span<const std::uint8_t> data) {
-#if HS_SHA1_NI_COMPILED
+#if HS_SHA_EXT_COMPILED
   if (sha1_ni_available()) return hash_ni_impl(data);
 #endif
   return Sha1::hash(data);

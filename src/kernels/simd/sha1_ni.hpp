@@ -22,10 +22,8 @@
 
 namespace hs::kernels::simd {
 
-/// True when this host executes the SHA extensions and the HS_SHA1_NI
-/// environment override does not disable them (HS_SHA1_NI=off|0 forces the
-/// scalar context; =on|1 skips the CPUID check — useful only under
-/// emulation). Resolved once and cached. Always false off x86.
+/// True when this file was built with the SHA extensions and CPUID reports
+/// them on this host. Resolved once and cached. Always false off x86.
 [[nodiscard]] bool sha1_ni_available();
 
 /// One-shot digest computed with the SHA extensions; bit-identical to

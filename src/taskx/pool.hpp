@@ -50,7 +50,7 @@ class ThreadPool {
   [[nodiscard]] int current_worker_index() const;
 
   /// Runs queued tasks on the calling thread until `done` returns true.
-  /// Used by blocking waits (pipeline run, parallel_for) so the waiting
+  /// Used by blocking waits (pipeline run) so the waiting
   /// thread lends itself to the pool instead of idling — this also makes
   /// single-thread pools deadlock-free.
   void help_while(const std::function<bool()>& done);

@@ -1,8 +1,8 @@
 // Unit tests for the cluster layer: topology parsing/validation, fabric
-// link contention against analytic oracles, content-hash sharded dup
-// lookup, stage placement, the makespan estimator, and golden pins of
-// multi-node runs. (The 1-node runs are the single-host runners; their
-// pins live in mandel_test and dedup_test.)
+// link contention against analytic oracles, stage placement, the makespan
+// estimator, and golden pins of multi-node runs, whose shard bytes pin the
+// sharded dup check's traffic. (The 1-node runs are the single-host
+// runners; their pins live in mandel_test and dedup_test.)
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,9 +15,7 @@
 #include "cluster/fabric.hpp"
 #include "cluster/makespan.hpp"
 #include "cluster/modeled.hpp"
-#include "cluster/shard.hpp"
 #include "datagen/corpus.hpp"
-#include "dedup/dup_store.hpp"
 #include "dedup/stages.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -223,55 +221,6 @@ TEST(FabricTest, ExportsLinkCounters) {
   EXPECT_EQ(stats[0].name, "a-b");
   EXPECT_EQ(stats[0].bytes, 1500u);
   EXPECT_GT(stats[0].busy_seconds, 0.0);
-}
-
-// ---- Sharded dup index ------------------------------------------------
-
-std::vector<dedup::Batch> hashed_batches() {
-  datagen::CorpusSpec spec;
-  spec.kind = datagen::CorpusKind::kParsecLike;
-  spec.bytes = 256 * 1024;
-  const std::vector<std::uint8_t> input = datagen::generate(spec);
-  dedup::DedupConfig config;
-  config.batch_size = 32 * 1024;
-  config.rabin.mask = 0x3FF;
-  std::vector<dedup::Batch> batches = dedup::fragment_input(input, config);
-  for (dedup::Batch& b : batches) dedup::hash_blocks(b);
-  return batches;
-}
-
-TEST(ShardedDupIndexTest, MatchesDupCacheForAnyNodeCount) {
-  for (int nodes : {1, 2, 3, 4}) {
-    std::vector<dedup::Batch> ref = hashed_batches();
-    std::vector<dedup::Batch> sharded = hashed_batches();
-    dedup::DupCache cache;
-    ShardedDupIndex index(nodes);
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      cache.check(ref[i]);
-      index.check(sharded[i], /*origin_node=*/0);
-      ASSERT_EQ(ref[i].blocks.size(), sharded[i].blocks.size());
-      for (std::size_t k = 0; k < ref[i].blocks.size(); ++k) {
-        EXPECT_EQ(ref[i].blocks[k].duplicate, sharded[i].blocks[k].duplicate)
-            << "nodes=" << nodes << " batch=" << i << " block=" << k;
-        EXPECT_EQ(ref[i].blocks[k].global_id, sharded[i].blocks[k].global_id);
-      }
-    }
-    EXPECT_EQ(index.unique_count(), cache.unique_count());
-    if (nodes == 1) {
-      EXPECT_EQ(index.traffic().remote_lookups, 0u);
-    } else {
-      EXPECT_GT(index.traffic().remote_lookups, 0u);
-    }
-  }
-}
-
-TEST(ShardedDupIndexTest, OwnerFollowsLeadDigestByte) {
-  ShardedDupIndex index(4);
-  kernels::Sha1Digest d{};
-  d[0] = 7;
-  EXPECT_EQ(index.owner(d), 3);  // 7 % 4
-  d[0] = 8;
-  EXPECT_EQ(index.owner(d), 0);
 }
 
 // ---- Placement --------------------------------------------------------

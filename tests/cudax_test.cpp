@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "cudax/cudax.hpp"
-#include "cudax/raii.hpp"
 
 namespace hs::cudax {
 namespace {
@@ -297,56 +296,6 @@ TEST_F(CudaxTest, MemsetFillsDeviceMemory) {
   int host_var = 0;
   EXPECT_EQ(cudaMemset(&host_var, 0, 4), cudaError::cudaErrorInvalidValue);
   ASSERT_EQ(cudaFree(dptr), cudaError::cudaSuccess);
-}
-
-TEST_F(CudaxTest, RaiiDeviceBufferFreesOnScopeExit) {
-  {
-    auto buf = DeviceBuffer::Allocate(4096);
-    ASSERT_TRUE(buf.ok());
-    EXPECT_TRUE(buf.value().valid());
-    EXPECT_EQ(buf.value().size(), 4096u);
-    EXPECT_EQ(machine_->device(0).memory_used(), 4096u);
-  }
-  EXPECT_EQ(machine_->device(0).memory_used(), 0u);
-}
-
-TEST_F(CudaxTest, RaiiBufferFreesOnItsOwnDevice) {
-  ASSERT_EQ(cudaSetDevice(1), cudaError::cudaSuccess);
-  auto buf = DeviceBuffer::Allocate(2048);
-  ASSERT_TRUE(buf.ok());
-  // Switch the thread elsewhere; the destructor must still free on dev 1.
-  ASSERT_EQ(cudaSetDevice(0), cudaError::cudaSuccess);
-  {
-    DeviceBuffer moved = std::move(buf).value();
-    EXPECT_EQ(moved.device(), 1);
-  }
-  EXPECT_EQ(machine_->device(1).memory_used(), 0u);
-  int cur = -1;
-  ASSERT_EQ(cudaGetDevice(&cur), cudaError::cudaSuccess);
-  EXPECT_EQ(cur, 0);  // destructor restored the thread's current device
-}
-
-TEST_F(CudaxTest, RaiiPinnedBufferAndStream) {
-  auto pinned = PinnedBuffer::Allocate(1024);
-  ASSERT_TRUE(pinned.ok());
-  EXPECT_TRUE(is_pinned(pinned.value().data(), 1024));
-  auto stream = ScopedStream::Create();
-  ASSERT_TRUE(stream.ok());
-  auto dev = DeviceBuffer::Allocate(1024);
-  ASSERT_TRUE(dev.ok());
-  ASSERT_EQ(cudaMemcpyAsync(dev.value().data(), pinned.value().data(), 1024,
-                            cudaMemcpyKind::cudaMemcpyHostToDevice,
-                            stream.value().get()),
-            cudaError::cudaSuccess);
-  auto t = stream.value().synchronize();
-  ASSERT_TRUE(t.ok());
-  EXPECT_GT(t.value(), 0.0);
-  void* raw = pinned.value().data();
-  {
-    PinnedBuffer moved = std::move(pinned).value();
-    EXPECT_TRUE(moved.valid());
-  }
-  EXPECT_FALSE(is_pinned(raw, 1));  // released exactly once
 }
 
 TEST_F(CudaxTest, ErrorNamesAndMessages) {

@@ -1,6 +1,6 @@
 // End-to-end fault injection & graceful degradation tests: FaultPlan
 // semantics (determinism, spec parsing), error surfacing through the cudax
-// and oclx/cl_api shims, and the acceptance scenarios — transient copy
+// and oclx shims, and the acceptance scenarios — transient copy
 // failures, sticky device loss on a multi-GPU run, and allocation pressure
 // in the dedup GPU stages — all of which must complete bit-exactly against
 // the fault-free reference while the telemetry records the injected faults.
@@ -22,7 +22,6 @@
 #include "gpusim/fault_plan.hpp"
 #include "lzssapp/lzss_stream.hpp"
 #include "mandel/pipelines.hpp"
-#include "oclx/cl_api.hpp"
 #include "oclx/oclx.hpp"
 #include "sched/sched.hpp"
 #include "serve/jobs.hpp"
@@ -144,34 +143,6 @@ TEST(ShimSurfacingTest, CudaxReportsLostDeviceAsUnavailable) {
   cudax::unbind_machine();
   EXPECT_EQ(cudax::error_code_of(cudax::cudaError::cudaErrorDevicesUnavailable),
             ErrorCode::kUnavailable);
-}
-
-TEST(ShimSurfacingTest, ClApiMapsLostDeviceAndOom) {
-  using namespace oclx::capi;
-  auto machine = gpusim::Machine::Create(1, gpusim::DeviceSpec::TitanXP());
-  FaultPlan plan;
-  plan.fail_nth(FaultSite::kAlloc, 1);
-  machine->device(0).set_fault_plan(std::move(plan));
-  clSimBindMachine(machine.get());
-
-  cl_platform_id platform = nullptr;
-  ASSERT_EQ(clGetPlatformIDs(1, &platform, nullptr), CL_SUCCESS);
-  cl_device_id dev = nullptr;
-  ASSERT_EQ(clGetDeviceIDs(platform, 1, &dev, nullptr), CL_SUCCESS);
-  cl_int err = CL_SUCCESS;
-  cl_context ctx = clCreateContext(&dev, 1, &err);
-  ASSERT_EQ(err, CL_SUCCESS);
-
-  cl_mem buf = clCreateBuffer(ctx, 64, &err);
-  EXPECT_EQ(buf, nullptr);
-  EXPECT_EQ(err, CL_OUT_OF_RESOURCES);
-
-  machine->device(0).mark_lost();
-  buf = clCreateBuffer(ctx, 64, &err);
-  EXPECT_EQ(buf, nullptr);
-  EXPECT_EQ(err, CL_DEVICE_NOT_AVAILABLE);
-  clReleaseContext(ctx);
-  clSimBindMachine(nullptr);
 }
 
 TEST(ShimSurfacingTest, OclxMapsLostDeviceAndOom) {

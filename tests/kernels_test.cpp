@@ -1,6 +1,6 @@
-// Tests for the computational kernels: Mandelbrot math, SHA-1/SHA-256
-// against FIPS vectors, Rabin chunking invariants, LZSS roundtrips and the
-// batched FindMatch equivalence.
+// Tests for the computational kernels: Mandelbrot math, SHA-1 against FIPS
+// vectors, Rabin chunking invariants, LZSS roundtrips and the batched
+// FindMatch equivalence.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 #include "kernels/mandel.hpp"
 #include "kernels/rabin.hpp"
 #include "kernels/sha1.hpp"
-#include "kernels/sha256.hpp"
 
 namespace hs::kernels {
 namespace {
@@ -123,26 +122,6 @@ TEST(Sha1Test, CompressionRoundsModel) {
   EXPECT_EQ(Sha1::compression_rounds(64), 2u);
   EXPECT_EQ(Sha1::compression_rounds(119), 2u);
   EXPECT_EQ(Sha1::compression_rounds(120), 3u);
-}
-
-// ---- SHA-256 ------------------------------------------------------------------------
-
-TEST(Sha256Test, FipsVectors) {
-  EXPECT_EQ(digest_hex(Sha256::hash(bytes_of("abc"))),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-  EXPECT_EQ(digest_hex(Sha256::hash({})),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
-  EXPECT_EQ(digest_hex(Sha256::hash(bytes_of(
-                "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
-}
-
-TEST(Sha256Test, IncrementalMatchesOneShot) {
-  std::vector<std::uint8_t> data(5000, 0xA7);
-  Sha256 ctx;
-  ctx.update(std::span<const std::uint8_t>(data.data(), 100));
-  ctx.update(std::span<const std::uint8_t>(data.data() + 100, 4900));
-  EXPECT_EQ(ctx.finish(), Sha256::hash(data));
 }
 
 // ---- Rabin ---------------------------------------------------------------------------

@@ -1,17 +1,14 @@
-// Tests for the taskx scheduler: thread pool, work stealing, parallel_for,
-// and the token pipeline's filter-mode semantics.
+// Tests for the taskx scheduler: thread pool, work stealing, and the token
+// pipeline's filter-mode semantics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <mutex>
-#include <numeric>
 #include <optional>
 #include <set>
 #include <vector>
 
-#include "taskx/parallel_for.hpp"
-#include "taskx/parallel_reduce.hpp"
 #include "taskx/pipeline.hpp"
 #include "taskx/pool.hpp"
 
@@ -83,88 +80,6 @@ TEST(ThreadPoolTest, CurrentWorkerIndexVisibleInsideTasks) {
 TEST(ThreadPoolTest, SizeDefaultsNonZero) {
   ThreadPool pool;
   EXPECT_GE(pool.size(), 1u);
-}
-
-// ---- parallel_for ---------------------------------------------------------------
-
-TEST(ParallelForTest, CoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(10000);
-  parallel_for_each_index(pool, 0, 10000, 64,
-                          [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelForTest, EmptyAndSingletonRanges) {
-  ThreadPool pool(2);
-  int count = 0;
-  parallel_for(pool, 5, 5, 16, [&](std::size_t, std::size_t) { ++count; });
-  EXPECT_EQ(count, 0);
-  std::atomic<int> hits{0};
-  parallel_for(pool, 5, 6, 16, [&](std::size_t b, std::size_t e) {
-    EXPECT_EQ(b, 5u);
-    EXPECT_EQ(e, 6u);
-    ++hits;
-  });
-  EXPECT_EQ(hits.load(), 1);
-}
-
-TEST(ParallelForTest, GrainZeroTreatedAsOne) {
-  ThreadPool pool(2);
-  std::atomic<int> sum{0};
-  parallel_for_each_index(pool, 0, 100, 0,
-                          [&](std::size_t i) { sum += static_cast<int>(i); });
-  EXPECT_EQ(sum.load(), 4950);
-}
-
-TEST(ParallelForTest, SumReduction) {
-  ThreadPool pool(4);
-  std::vector<int> data(50000);
-  std::iota(data.begin(), data.end(), 1);
-  std::atomic<long long> total{0};
-  parallel_for(pool, 0, data.size(), 128,
-               [&](std::size_t b, std::size_t e) {
-                 long long local = 0;
-                 for (std::size_t i = b; i < e; ++i) local += data[i];
-                 total += local;
-               });
-  EXPECT_EQ(total.load(), 50000LL * 50001 / 2);
-}
-
-TEST(ParallelReduceTest, SumMatchesSequential) {
-  ThreadPool pool(4);
-  long long total = parallel_reduce<long long>(
-      pool, 1, 100001, 97, 0,
-      [](std::size_t b, std::size_t e, long long& acc) {
-        for (std::size_t i = b; i < e; ++i) acc += static_cast<long long>(i);
-      },
-      [](long long a, long long b) { return a + b; });
-  EXPECT_EQ(total, 100000LL * 100001 / 2);
-}
-
-TEST(ParallelReduceTest, MaxReduction) {
-  ThreadPool pool(3);
-  std::vector<int> data(5000);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<int>((i * 2654435761u) % 100000);
-  }
-  int expected = *std::max_element(data.begin(), data.end());
-  int got = parallel_reduce<int>(
-      pool, 0, data.size(), 64, -1,
-      [&](std::size_t b, std::size_t e, int& acc) {
-        for (std::size_t i = b; i < e; ++i) acc = std::max(acc, data[i]);
-      },
-      [](int a, int b) { return std::max(a, b); });
-  EXPECT_EQ(got, expected);
-}
-
-TEST(ParallelReduceTest, EmptyRangeReturnsIdentity) {
-  ThreadPool pool(2);
-  int got = parallel_reduce<int>(
-      pool, 10, 10, 4, 42,
-      [](std::size_t, std::size_t, int&) { FAIL() << "must not run"; },
-      [](int a, int) { return a; });
-  EXPECT_EQ(got, 42);
 }
 
 // ---- Pipeline -------------------------------------------------------------------
