@@ -19,9 +19,9 @@
 // (ties keep the NEWER candidate — smaller offset — unlike legacy's
 // oldest-first scan, which is why the modes golden separately), prunes
 // with the classic would-extend byte test, extends with a scalar
-// word-at-a-time compare (at max_match 18 a match has at most 18 bytes, too
-// few for a vector step to pay), and gives up after params.chain_depth
-// links or as soon as the best possible length is reached.
+// word-at-a-time compare (common_prefix), and gives up after
+// params.chain_depth links or as soon as the best possible length is
+// reached.
 //
 // Purity contract (what keeps every pipeline variant bit-identical in
 // chain mode): the result of find(block_start, block_end, pos) depends
@@ -103,7 +103,24 @@ class LzssChainMatcher {
       // best.length < limit <= pos - cand and < block_end - pos.
       if (limit > best.length &&
           base[cand + best.length] == base[pos + best.length]) {
-        const std::size_t len = common_prefix(base + cand, base + pos, limit);
+        // Inlined first-8-bytes compare (the common case at max_match 18);
+        // common_prefix only extends the tail past 8. Loads are in bounds:
+        // limit >= 8 implies pos + 8 <= block_end and cand + 8 <= pos.
+        std::size_t len;
+        if (limit >= 8) {
+          std::uint64_t x, y;
+          std::memcpy(&x, base + cand, 8);
+          std::memcpy(&y, base + pos, 8);
+          if (x != y) {
+            len = static_cast<std::size_t>(std::countr_zero(x ^ y)) >> 3;
+          } else {
+            len = 8 + common_prefix(base + cand + 8, base + pos + 8,
+                                    limit - 8);
+          }
+        } else {
+          len = 0;
+          while (len < limit && base[cand + len] == base[pos + len]) ++len;
+        }
         if (len > best.length) {
           best.length = static_cast<std::uint16_t>(len);
           best.offset = static_cast<std::uint16_t>(pos - cand);
@@ -142,9 +159,10 @@ class LzssChainMatcher {
   static constexpr std::uint32_t kHashBits = 13;
   static constexpr std::int32_t kNone = -1;
 
-  /// Common-prefix length of `a` and `b`, up to `limit` bytes, comparing
-  /// from byte 0 (hash-chain candidates can collide, so nothing is assumed
-  /// matched). Loads stay below a + limit and b + limit.
+  /// Common-prefix length of `a` and `b`, up to `limit` bytes; loads stay
+  /// below a + limit and b + limit. find() calls it only for the tail past
+  /// the first 8 bytes, at most 10 bytes at max_match 18 — too short for a
+  /// vector step, so there is one scalar body for every dispatch level.
   static std::size_t common_prefix(const std::uint8_t* a,
                                    const std::uint8_t* b, std::size_t limit) {
     std::size_t len = 0;
