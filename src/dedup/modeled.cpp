@@ -117,17 +117,18 @@ void launch_findmatch(const BatchCosts& b, Space& space,
     auto r = space.device->launch(
         gpusim::Dim3{static_cast<std::uint32_t>((n + 255) / 256), 1, 1},
         gpusim::Dim3{256, 1, 1}, {}, space.stream,
-        [sp, nsp, n, lzss](const gpusim::ThreadCtx& tc) -> double {
+        [sp, nsp, n, lzss, k = std::size_t{0}](
+            const gpusim::ThreadCtx& tc) mutable -> double {
           std::uint64_t pos = tc.global_x();
           if (pos >= n) return 1;
-          std::size_t lo = 0, hi = nsp;
-          while (lo + 1 < hi) {
-            std::size_t mid = (lo + hi) / 2;
-            if (sp[mid] <= pos) lo = mid;
-            else hi = mid;
-          }
+          // k tracks pos's block, the last start <= pos. gpusim runs lanes
+          // in increasing pos order, so k steps forward once per block
+          // instead of a search per lane; the walk stays exact for any
+          // order.
+          while (k > 0 && sp[k] > pos) --k;
+          while (k + 1 < nsp && sp[k + 1] <= pos) ++k;
           return static_cast<double>(
-                     kernels::lzss_match_cost(sp[lo], pos, lzss)) *
+                     kernels::lzss_match_cost(sp[k], pos, lzss)) *
                  kLzssCompareUnits;
         });
     assert(r.ok());
