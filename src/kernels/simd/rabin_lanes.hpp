@@ -49,8 +49,7 @@ void rabin_boundaries(const Rabin& rabin, std::span<const std::uint8_t> data,
 /// Explicit-level entry (tests / kernel bench); levels above the host's
 /// support are clamped. kAvx2 runs the 4-lane bitmap body; kScalar and
 /// kSse42 run the original rolling walk (SSE4.2 has no 64-bit lane
-/// multiply, and a 2-lane body stitched from 32-bit products did not beat
-/// the walk reliably).
+/// multiply).
 void rabin_boundaries_at(Level level, const Rabin& rabin,
                          std::span<const std::uint8_t> data,
                          std::vector<std::uint32_t>& starts,
