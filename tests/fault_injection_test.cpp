@@ -610,6 +610,26 @@ TEST(DeviceWorkPinTest, EveryFaultFreeGpuPathMatchesItsReferenceAndPin) {
          return gpu_map_matches_host(m, spar::GpuBackend::kOpenCl, 3);
        },
        {12, 12, 12, 4800, 4800}},
+      {"archive_opencl_single_thread batched",
+       [&](gpusim::Machine& m) {
+         auto r = dedup::archive_opencl_single_thread(dedup_input, dedup_cfg,
+                                                      m, true);
+         return r.ok() && r.value() == archive.value();
+       },
+       {8, 4, 0, 204800, 0}},
+      {"archive_opencl_single_thread per-block",
+       [&](gpusim::Machine& m) {
+         auto r = dedup::archive_opencl_single_thread(dedup_input, dedup_cfg,
+                                                      m, false);
+         return r.ok() && r.value() == archive.value();
+       },
+       {159, 4, 0, 204800, 0}},
+      {"render_opencl_batched",
+       [&](gpusim::Machine& m) {
+         auto r = mandel::render_opencl_batched(mandel_params, m, 16);
+         return r.ok() && r.value() == image;
+       },
+       {4, 0, 4, 0, 4096}},
       {"serve mandel job",
        [](gpusim::Machine& m) {
          return serve_job_matches(m, serve_mandel_job());
