@@ -305,13 +305,9 @@ Result<std::vector<std::uint8_t>> archive_spar_cuda(
 Result<std::vector<std::uint8_t>> archive_opencl_single_thread(
     std::span<const std::uint8_t> input, const DedupConfig& config,
     gpusim::Machine& machine, bool batched_kernel) {
-  auto platforms = oclx::Platform::get(&machine);
-  if (platforms.empty()) return NotFound("no OpenCL platform");
-  auto devices = platforms[0].devices();
-  auto ctx = oclx::Context::create(devices);
-  if (!ctx.ok()) return ctx.status();
-  auto queue = oclx::CommandQueue::create(ctx.value(), devices[0]);
-  if (!queue.ok()) return queue.status();
+  spar::ClDevice device(&machine);
+  HS_RETURN_IF_ERROR(device.bind(0));
+  oclx::CommandQueue& queue = device.queue();
 
   ArchiveWriter writer(config);
   writer.reserve(archive_reserve_bytes(input.size()));
@@ -324,14 +320,14 @@ Result<std::vector<std::uint8_t>> archive_opencl_single_thread(
   while (auto maybe_batch = source()) {
     Batch batch = std::move(*maybe_batch);
     const std::size_t n = batch.data.size();
-    auto data_buf = oclx::Buffer::create(ctx.value(), devices[0], n);
+    auto data_buf = device.buffer(n);
     if (!data_buf.ok()) return data_buf.status();
     {
       telemetry::ScopedSpan span(tracer, "dedup.ocl.h2d");
-      if (queue.value().enqueue_write(data_buf.value(), 0, batch.data.data(),
-                                      n, /*blocking=*/false, nullptr) !=
+      if (queue.enqueue_write(*data_buf.value(), 0, batch.data.data(), n,
+                              /*blocking=*/false, nullptr) !=
           oclx::ClStatus::kSuccess) {
-        return Internal("write failed: " + queue.value().last_error());
+        return Internal("write failed: " + queue.last_error());
       }
     }
 
@@ -339,7 +335,7 @@ Result<std::vector<std::uint8_t>> archive_opencl_single_thread(
     // are written through mapped host pointers here; the modeled runners
     // (dedup/modeled.hpp) account for the device->host result transfers
     // explicitly.
-    auto* dev_data = static_cast<const std::uint8_t*>(data_buf.value().data());
+    auto* dev_data = static_cast<const std::uint8_t*>(data_buf.value()->data());
     const Batch* batch_ptr = &batch;
     const std::size_t nblocks = batch.blocks.size();
     std::vector<std::uint8_t> digests(nblocks * 20);
@@ -354,14 +350,14 @@ Result<std::vector<std::uint8_t>> archive_opencl_single_thread(
         });
     {
       telemetry::ScopedSpan span(tracer, "dedup.ocl.sha1.kernel");
-      if (queue.value().enqueue_ndrange(
+      if (queue.enqueue_ndrange(
               sha_kernel,
               oclx::Dim3{static_cast<std::uint32_t>((nblocks + 63) / 64 * 64),
                          1, 1},
               oclx::Dim3{64, 1, 1}, nullptr) != oclx::ClStatus::kSuccess) {
-        return Internal("sha kernel failed: " + queue.value().last_error());
+        return Internal("sha kernel failed: " + queue.last_error());
       }
-      if (!queue.value().finish().ok()) return Internal("finish failed");
+      if (!queue.finish().ok()) return Internal("finish failed");
     }
     for (std::size_t b = 0; b < nblocks; ++b) {
       std::memcpy(batch.blocks[b].digest.data(), digests_ptr + b * 20, 20);
@@ -385,13 +381,13 @@ Result<std::vector<std::uint8_t>> archive_opencl_single_thread(
                                                 lzss, matches_ptr)
                               : 1;
           });
-      if (queue.value().enqueue_ndrange(
+      if (queue.enqueue_ndrange(
               find_kernel,
               oclx::Dim3{
                   static_cast<std::uint32_t>((span_len + 255) / 256 * 256), 1,
                   1},
               oclx::Dim3{256, 1, 1}, nullptr) != oclx::ClStatus::kSuccess) {
-        return Internal("find kernel failed: " + queue.value().last_error());
+        return Internal("find kernel failed: " + queue.last_error());
       }
       return OkStatus();
     };
@@ -407,7 +403,7 @@ Result<std::vector<std::uint8_t>> archive_opencl_single_thread(
           if (Status s = run_find(bs, be); !s.ok()) return s;
         }
       }
-      if (!queue.value().finish().ok()) return Internal("finish failed");
+      if (!queue.finish().ok()) return Internal("finish failed");
     }
     compress_blocks_from_matches(batch, config);
     batch.matches.clear();

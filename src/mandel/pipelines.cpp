@@ -194,23 +194,18 @@ Result<std::vector<std::uint8_t>> render_spar_cuda(
 
 Result<std::vector<std::uint8_t>> render_opencl_batched(
     const MandelParams& params, gpusim::Machine& machine, int batch_lines) {
-  auto platforms = oclx::Platform::get(&machine);
-  if (platforms.empty()) return NotFound("no OpenCL platform");
-  auto devices = platforms[0].devices();
-  auto ctx = oclx::Context::create(devices);
-  if (!ctx.ok()) return ctx.status();
-  auto queue = oclx::CommandQueue::create(ctx.value(), devices[0]);
-  if (!queue.ok()) return queue.status();
+  spar::ClDevice device(&machine);
+  HS_RETURN_IF_ERROR(device.bind(0));
+  oclx::CommandQueue& queue = device.queue();
 
   const int dim = params.dim;
   const int batch = std::max(1, batch_lines);
-  auto buffer = oclx::Buffer::create(
-      ctx.value(), devices[0],
-      static_cast<std::size_t>(batch) * static_cast<std::size_t>(dim));
+  auto buffer = device.buffer(static_cast<std::size_t>(batch) *
+                              static_cast<std::size_t>(dim));
   if (!buffer.ok()) return buffer.status();
 
   auto image = make_image(dim);
-  auto* dev_buf = static_cast<std::uint8_t*>(buffer.value().data());
+  auto* dev_buf = static_cast<std::uint8_t*>(buffer.value()->data());
   for (int first = 0; first < dim; first += batch) {
     const int count = std::min(batch, dim - first);
     const MandelParams p = params;
@@ -235,20 +230,20 @@ Result<std::vector<std::uint8_t>> render_opencl_batched(
     std::uint64_t total =
         static_cast<std::uint64_t>(count) * static_cast<std::uint64_t>(dim);
     oclx::Event done;
-    if (queue.value().enqueue_ndrange(
+    if (queue.enqueue_ndrange(
             kernel,
             oclx::Dim3{static_cast<std::uint32_t>((total + 255) / 256 * 256),
                        1, 1},
             oclx::Dim3{256, 1, 1}, &done) != oclx::ClStatus::kSuccess) {
-      return Internal("ndrange failed: " + queue.value().last_error());
+      return Internal("ndrange failed: " + queue.last_error());
     }
     oclx::Event read_done;
-    if (queue.value().enqueue_read(
-            buffer.value(), 0,
+    if (queue.enqueue_read(
+            *buffer.value(), 0,
             image.data() + static_cast<std::size_t>(first) * dim,
             static_cast<std::size_t>(count) * dim, /*blocking=*/false,
             &read_done) != oclx::ClStatus::kSuccess) {
-      return Internal("read failed: " + queue.value().last_error());
+      return Internal("read failed: " + queue.last_error());
     }
     auto waited = oclx::Event::wait_for_events({done, read_done});
     if (!waited.ok()) return waited.status();
