@@ -10,7 +10,7 @@
 #include "common/cli.hpp"
 #include "common/format.hpp"
 #include "common/table.hpp"
-#include "cudax/pinned_pool.hpp"
+#include "cudax/cudax.hpp"
 #include "mandel/iteration_map.hpp"
 #include "telemetry/queue_sampler.hpp"
 #include "telemetry/span_recorder.hpp"
@@ -89,8 +89,10 @@ inline TelemetryOutputs telemetry_outputs(const CliArgs& args) {
 /// span recorder. Pair with end_telemetry_capture.
 inline void begin_telemetry_capture(const TelemetryOutputs& outs) {
   telemetry::set_enabled(true);
-  telemetry::register_buffer_pool_gauges(telemetry::Registry::Default());
-  cudax::register_pinned_pool_gauges(telemetry::Registry::Default());
+  telemetry::register_buffer_pool_gauges(telemetry::Registry::Default(),
+                                         BufferPool::Default(), "buffer_pool");
+  telemetry::register_buffer_pool_gauges(telemetry::Registry::Default(),
+                                         cudax::pinned_pool(), "pinned_pool");
   if (!outs.trace_path.empty()) {
     telemetry::SpanRecorder::Default().set_recording(true);
   }

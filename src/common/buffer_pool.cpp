@@ -10,8 +10,15 @@ constexpr std::size_t kNumClasses = 21;  // 64B (2^6) .. 64MB (2^26)
 
 }  // namespace
 
-BufferPool::BufferPool(std::size_t max_cached_bytes)
-    : free_(kNumClasses), max_cached_bytes_(max_cached_bytes) {}
+SlabAllocator heap_allocator() {
+  return {[](std::size_t bytes) { return ::operator new(bytes); },
+          [](void* ptr) { ::operator delete(ptr); }};
+}
+
+BufferPool::BufferPool(std::size_t max_cached_bytes, SlabAllocator allocator)
+    : free_(kNumClasses),
+      max_cached_bytes_(max_cached_bytes),
+      allocator_(allocator) {}
 
 BufferPool::~BufferPool() { trim(); }
 
@@ -48,7 +55,8 @@ BufferPool::Slab BufferPool::acquire(std::size_t min_bytes) {
   // Miss: allocate outside the lock. Oversize requests get the exact size
   // and are never cached.
   const std::size_t alloc = cap <= kMaxClassBytes ? cap : min_bytes;
-  Slab slab{static_cast<std::uint8_t*>(::operator new(alloc)), alloc};
+  Slab slab{static_cast<std::uint8_t*>(allocator_.allocate(alloc)), alloc};
+  if (slab.ptr == nullptr) return {};
   counters_.misses.fetch_add(1, std::memory_order_relaxed);
   counters_.bytes_allocated.fetch_add(alloc, std::memory_order_relaxed);
   counters_.bytes_outstanding.fetch_add(alloc, std::memory_order_relaxed);
@@ -71,7 +79,7 @@ void BufferPool::release(Slab slab) {
       return;
     }
   }
-  ::operator delete(slab.ptr);
+  allocator_.deallocate(slab.ptr);
 }
 
 void BufferPool::trim() {
@@ -82,7 +90,7 @@ void BufferPool::trim() {
     counters_.bytes_cached.store(0, std::memory_order_relaxed);
   }
   for (auto& list : drained)
-    for (std::uint8_t* ptr : list) ::operator delete(ptr);
+    for (std::uint8_t* ptr : list) allocator_.deallocate(ptr);
 }
 
 PoolCounters BufferPool::counters() const { return counters_.snapshot(); }

@@ -7,7 +7,8 @@
 // those buffers: capacities are rounded up to a power-of-two class and
 // released slabs return to the class free list, so a warmed pipeline runs
 // allocation-free in the steady state (asserted by tests through the
-// alloc_hook counters).
+// alloc_hook counters). A pool draws its slabs from one allocator: the
+// heap by default, or pinned host memory for cudax's staging pool.
 //
 // PooledBuffer is the std::vector<uint8_t>-shaped handle call sites use.
 // It deep-copies on copy (stream items must stay copyable) and keeps its
@@ -26,6 +27,16 @@
 
 namespace hs {
 
+/// Where a BufferPool's slabs come from. `allocate` returns null when it
+/// cannot supply the bytes.
+struct SlabAllocator {
+  void* (*allocate)(std::size_t bytes);
+  void (*deallocate)(void* ptr);
+};
+
+/// ::operator new / ::operator delete.
+SlabAllocator heap_allocator();
+
 /// Size-classed recycling arena for byte slabs. All methods are
 /// thread-safe; handles hand slabs back from any thread.
 class BufferPool {
@@ -41,7 +52,8 @@ class BufferPool {
 
   /// `max_cached_bytes` bounds the free lists: a release that would exceed
   /// it frees the slab instead of caching it.
-  explicit BufferPool(std::size_t max_cached_bytes = kDefaultMaxCachedBytes);
+  explicit BufferPool(std::size_t max_cached_bytes = kDefaultMaxCachedBytes,
+                      SlabAllocator allocator = heap_allocator());
   ~BufferPool();
 
   BufferPool(const BufferPool&) = delete;
@@ -52,6 +64,8 @@ class BufferPool {
 
   /// A slab of at least `min_bytes` capacity (power-of-two class; requests
   /// above kMaxClassBytes are exact-size one-offs that are never cached).
+  /// An empty slab when the allocator cannot supply it; such a miss is not
+  /// counted.
   Slab acquire(std::size_t min_bytes);
 
   /// Returns a slab to its class free list (or the heap when over the
@@ -73,6 +87,7 @@ class BufferPool {
   std::vector<std::vector<std::uint8_t*>> free_;
   AtomicPoolCounters counters_;
   std::size_t max_cached_bytes_;
+  SlabAllocator allocator_;
 };
 
 /// A std::vector<uint8_t>-like byte buffer whose storage comes from a

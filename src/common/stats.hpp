@@ -1,7 +1,7 @@
 // Streaming statistics accumulator (Welford) used to report the paper's
 // "arithmetic means and standard deviations over N samples", plus the
-// counter block shared by the recycling allocators (common::BufferPool,
-// cudax::PinnedPool).
+// counter block of the recycling allocator (common::BufferPool, whose
+// instances are the heap pool and cudax's pinned staging pool).
 #pragma once
 
 #include <algorithm>

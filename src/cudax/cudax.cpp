@@ -301,6 +301,21 @@ bool is_pinned(const void* ptr, std::size_t len) {
   return pinned_registry().contains(ptr, len);
 }
 
+BufferPool& pinned_pool() {
+  // Leaked singleton: staging slabs held by pipeline nodes may be released
+  // during static teardown, after a local pool would be gone.
+  static BufferPool* pool = new BufferPool(
+      BufferPool::kDefaultMaxCachedBytes,
+      {[](std::size_t bytes) -> void* {
+         void* ptr = nullptr;
+         return cudaMallocHost(&ptr, bytes) == cudaError::cudaSuccess
+                    ? ptr
+                    : nullptr;
+       },
+       [](void* ptr) { (void)cudaFreeHost(ptr); }});
+  return *pool;
+}
+
 namespace {
 
 cudaError do_copy(void* dst, const void* src, std::size_t bytes,

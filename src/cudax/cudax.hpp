@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/buffer_pool.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/spec.hpp"
 
@@ -126,6 +127,13 @@ cudaError cudaMallocHost(void** ptr, std::size_t bytes);
 cudaError cudaFreeHost(void* ptr);
 /// True if [ptr, ptr+len) lies in a cudaMallocHost allocation.
 bool is_pinned(const void* ptr, std::size_t len);
+/// Process-wide pool of pinned host staging slabs, shared by the GPU
+/// bindings. cudaMallocHost is the expensive way to get pinned memory, so
+/// released slabs stay cached (and pinned) for the next acquire; only trim()
+/// and the cache bound cudaFreeHost them. acquire() returns an empty slab
+/// when pinned allocation fails, and the caller falls back to pageable
+/// memory (the transfers still work, at pageable speed).
+BufferPool& pinned_pool();
 
 /// Synchronous copy on the current device's default stream.
 cudaError cudaMemcpy(void* dst, const void* src, std::size_t bytes,

@@ -26,7 +26,8 @@ Status CudaDevice::bind(int device) {
 }
 
 void CudaDevice::release() {
-  pinned_.release();
+  cudax::pinned_pool().release(pinned_);
+  pinned_ = {};
   if (device_ < 0) return;
   // Best effort: freeing on a lost device only drops the bookkeeping.
   (void)cudax::cudaSetDevice(device_);
@@ -77,10 +78,12 @@ Status CudaDevice::sync(const char* span) {
 }
 
 std::uint8_t* CudaDevice::staging(std::size_t bytes) {
-  if (pinned_.capacity() < bytes) {
-    pinned_ = cudax::PinnedPool::Default().acquire(bytes);
+  if (pinned_.capacity < bytes) {
+    BufferPool& pool = cudax::pinned_pool();
+    pool.release(pinned_);
+    pinned_ = pool.acquire(bytes);
   }
-  if (pinned_.valid()) return pinned_.data();
+  if (pinned_.ptr != nullptr) return pinned_.ptr;
   if (pageable_.size() < bytes) pageable_.resize(bytes);
   return pageable_.data();
 }

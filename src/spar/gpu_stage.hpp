@@ -41,7 +41,6 @@
 
 #include "common/retry.hpp"
 #include "cudax/cudax.hpp"
-#include "cudax/pinned_pool.hpp"
 #include "oclx/oclx.hpp"
 #include "sched/ladder.hpp"
 #include "spar/spar.hpp"
@@ -136,7 +135,7 @@ class CudaDevice {
   cudax::cudaStream_t stream_{};
   std::vector<cudax::cudaStream_t> streams_;  ///< per device; {} = none yet
   std::vector<Slot> scratch_;
-  cudax::PinnedPool::Handle pinned_;
+  BufferPool::Slab pinned_;  ///< from cudax::pinned_pool(); empty = none
   std::vector<std::uint8_t> pageable_;
 };
 

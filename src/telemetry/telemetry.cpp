@@ -375,20 +375,20 @@ StreamInstrumentation default_instrumentation(std::string prefix) {
   return instr;
 }
 
-void register_buffer_pool_gauges(Registry& registry) {
-  auto field = [](std::uint64_t PoolCounters::* member) {
-    return [member]() {
-      PoolCounters c = BufferPool::Default().counters();
-      return static_cast<double>(c.*member);
+void register_buffer_pool_gauges(Registry& registry, const BufferPool& pool,
+                                 const std::string& prefix) {
+  auto field = [&pool](std::uint64_t PoolCounters::* member) {
+    return [&pool, member]() {
+      return static_cast<double>(pool.counters().*member);
     };
   };
-  registry.gauge_callback("buffer_pool.hits", field(&PoolCounters::hits));
-  registry.gauge_callback("buffer_pool.misses", field(&PoolCounters::misses));
-  registry.gauge_callback("buffer_pool.bytes_allocated",
+  registry.gauge_callback(prefix + ".hits", field(&PoolCounters::hits));
+  registry.gauge_callback(prefix + ".misses", field(&PoolCounters::misses));
+  registry.gauge_callback(prefix + ".bytes_allocated",
                           field(&PoolCounters::bytes_allocated));
-  registry.gauge_callback("buffer_pool.bytes_cached",
+  registry.gauge_callback(prefix + ".bytes_cached",
                           field(&PoolCounters::bytes_cached));
-  registry.gauge_callback("buffer_pool.bytes_outstanding",
+  registry.gauge_callback(prefix + ".bytes_outstanding",
                           field(&PoolCounters::bytes_outstanding));
 }
 

@@ -36,6 +36,10 @@
 
 #include "common/status.hpp"
 
+namespace hs {
+class BufferPool;
+}  // namespace hs
+
 namespace hs::telemetry {
 
 class Registry;
@@ -278,10 +282,10 @@ struct StreamInstrumentation {
 [[nodiscard]] StreamInstrumentation default_instrumentation(
     std::string prefix = "flow");
 
-/// Export the common::BufferPool::Default() counters as gauge callbacks
-/// ("buffer_pool.hits", ".misses", ".bytes_allocated", ".bytes_cached",
-/// ".bytes_outstanding"). cudax::register_pinned_pool_gauges is the
-/// PinnedPool twin (lives in cudax, which links this library).
-void register_buffer_pool_gauges(Registry& registry);
+/// Export `pool`'s counters as gauge callbacks ("<prefix>.hits",
+/// ".misses", ".bytes_allocated", ".bytes_cached", ".bytes_outstanding").
+/// The pool must outlive the registry's scrapes.
+void register_buffer_pool_gauges(Registry& registry, const BufferPool& pool,
+                                 const std::string& prefix);
 
 }  // namespace hs::telemetry

@@ -54,6 +54,23 @@ TEST(BufferPoolTest, OversizeRequestsAreExactAndNeverCached) {
   pool.release(again);
 }
 
+TEST(BufferPoolTest, FailedAllocationReturnsAnEmptySlabAndCountsNothing) {
+  // The path cudax's pinned pool takes when cudaMallocHost fails; its
+  // callers then fall back to pageable memory.
+  BufferPool pool(BufferPool::kDefaultMaxCachedBytes,
+                  {[](std::size_t) -> void* { return nullptr; },
+                   [](void*) { FAIL() << "nothing was allocated"; }});
+  const BufferPool::Slab slab = pool.acquire(4096);
+  EXPECT_EQ(slab.ptr, nullptr);
+  EXPECT_EQ(slab.capacity, 0u);
+  const PoolCounters c = pool.counters();
+  EXPECT_EQ(c.misses, 0u);
+  EXPECT_EQ(c.hits, 0u);
+  EXPECT_EQ(c.bytes_allocated, 0u);
+  EXPECT_EQ(c.bytes_outstanding, 0u);
+  pool.release(slab);
+}
+
 TEST(BufferPoolTest, CacheBoundEvictsInsteadOfGrowing) {
   BufferPool pool(/*max_cached_bytes=*/4096);
   std::vector<BufferPool::Slab> slabs;

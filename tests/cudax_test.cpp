@@ -90,6 +90,29 @@ TEST_F(CudaxTest, PinnedMemoryRegistry) {
   EXPECT_EQ(cudaFreeHost(&stack_var), cudaError::cudaErrorInvalidValue);
 }
 
+TEST_F(CudaxTest, PinnedSlabsAreRecycledUntilTrim) {
+  BufferPool& pool = pinned_pool();
+  pool.trim();
+  const PoolCounters before = pool.counters();
+  const BufferPool::Slab slab = pool.acquire(1000);
+  ASSERT_NE(slab.ptr, nullptr);
+  EXPECT_TRUE(is_pinned(slab.ptr, slab.capacity));
+  std::uint8_t* const ptr = slab.ptr;
+  // A released slab stays pinned in the cache: the next acquire of its
+  // class is a hit on the same pointer.
+  pool.release(slab);
+  const BufferPool::Slab again = pool.acquire(slab.capacity);
+  EXPECT_EQ(again.ptr, ptr);
+  const PoolCounters after = pool.counters();
+  EXPECT_EQ(after.misses - before.misses, 1u);
+  EXPECT_EQ(after.hits - before.hits, 1u);
+  EXPECT_TRUE(is_pinned(ptr, again.capacity));
+  // trim() returns cached slabs through cudaFreeHost.
+  pool.release(again);
+  pool.trim();
+  EXPECT_FALSE(is_pinned(ptr, 1));
+}
+
 TEST_F(CudaxTest, SyncMemcpyRoundtrip) {
   std::vector<int> host(256);
   std::iota(host.begin(), host.end(), 0);
