@@ -39,10 +39,8 @@
 //        archivers on each dataset and report measured wall time — unlike
 //        the modeled rows above, these numbers are this host's. Implied by
 //        any of: --workers-hash=N / --workers-compress=N (farm sizes,
-//        default 4), --pin (pin runtime threads round-robin to cores),
-//        --hash-unordered (least-loaded unordered hash farm; the serial
-//        duplicate check restores stream order, so the archive is still
-//        byte-identical). The SIMD dispatch level follows HS_SIMD.)
+//        default 4), --pin (pin runtime threads round-robin to cores).
+//        The SIMD dispatch level follows HS_SIMD.)
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -277,15 +275,13 @@ int run_functional(const std::vector<datagen::CorpusKind>& kinds,
   dedup::SparCpuOptions opts;
   opts.workers_hash = static_cast<int>(workers_hash_or.value());
   opts.workers_compress = static_cast<int>(workers_compress_or.value());
-  opts.hash_ordered = !args.get_bool("hash-unordered", false);
-  opts.pin.enabled = args.get_bool("pin", false);
+  opts.pin = args.get_bool("pin", false);
   const int reps = static_cast<int>(reps_or.value());
 
   std::string spar_label = "SPar CPU (functional, hash x" +
                            std::to_string(opts.workers_hash) + ", lzss x" +
                            std::to_string(opts.workers_compress) + ")";
-  if (!opts.hash_ordered) spar_label += " unordered-hash";
-  if (opts.pin.enabled) spar_label += " pinned";
+  if (opts.pin) spar_label += " pinned";
 
   Table table("Functional archivers — measured wall time (best of " +
               std::to_string(reps) + ", simd=" +
@@ -568,8 +564,7 @@ int run(int argc, const char** argv) {
   }
   const bool functional =
       args.get_bool("functional", false) || args.has("workers-hash") ||
-      args.has("workers-compress") || args.has("pin") ||
-      args.has("hash-unordered");
+      args.has("workers-compress") || args.has("pin");
   if (functional) {
     if (int rc = run_functional(kinds, input_size, cfg.dedup, args); rc != 0) {
       return rc;

@@ -26,7 +26,7 @@ inline void cpu_relax() {
 class Backoff {
  public:
   void pause() {
-    if (count_ < kSpinLimit) {
+    if (count_ < kRelaxLimit) {
       cpu_relax();
     } else if (count_ < kYieldLimit) {
       std::this_thread::yield();
@@ -41,7 +41,7 @@ class Backoff {
   [[nodiscard]] bool sleeping() const { return count_ >= kYieldLimit; }
 
  private:
-  static constexpr int kSpinLimit = 64;
+  static constexpr int kRelaxLimit = 64;
   static constexpr int kYieldLimit = 256;
   int count_ = 0;
 };

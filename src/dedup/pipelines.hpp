@@ -47,16 +47,8 @@ inline Result<std::vector<std::uint8_t>> archive_sequential(
 struct SparCpuOptions {
   int workers_hash = 1;      ///< SHA-1 farm replicas
   int workers_compress = 1;  ///< LZSS farm replicas
-  /// Keep the hash farm ordered (the default). When false the farm's
-  /// collector forwards batches in hash-completion order and its emitter
-  /// schedules least-loaded, so a slow worker never head-of-line-blocks
-  /// the others; the serial duplicate-check stage then restores stream
-  /// order with a reorder buffer (the container format numbers unique
-  /// blocks in stream order), so the archive is byte-identical to the
-  /// sequential reference either way.
-  bool hash_ordered = true;
   /// Core affinity for every runtime thread of the lowered pipeline.
-  flow::PinPolicy pin;
+  bool pin = false;
   /// Optional persistent content store: when set, every hash worker
   /// record()s its block digests concurrently (the store is lock-striped
   /// for exactly this). Telemetry only — archive bytes are unchanged.

@@ -48,16 +48,6 @@ class OutPort {
   virtual bool send(Item item) = 0;
 };
 
-/// Per-node execution statistics (wall time, not modeled time).
-struct NodeStats {
-  std::uint64_t items_in = 0;
-  std::uint64_t items_out = 0;
-  /// Items this stage skipped (forwarded unserviced) because their deadline
-  /// had already passed when they reached the stage boundary.
-  std::uint64_t deadline_drops = 0;
-  double busy_seconds = 0;
-};
-
 /// Base class for user stages. Subclass and implement svc(); or use the
 /// lambda adapters in flow/adapters.hpp.
 class Node {

@@ -159,9 +159,6 @@ class Channel {
     if (mode_ == WaitMode::kBlocking) cv_not_full_.notify_one();
     return n;
   }
-  [[nodiscard]] bool has_space() const {
-    return queue_.size_approx() < queue_.capacity();
-  }
 
  private:
   void wait_not_empty(Backoff& backoff) {
@@ -170,7 +167,7 @@ class Channel {
       cv_not_empty_.wait_for(lock, std::chrono::milliseconds(1));
       return;
     }
-    wait(backoff);
+    backoff.pause();
   }
   void wait_not_full(Backoff& backoff) {
     if (mode_ == WaitMode::kBlocking) {
@@ -178,14 +175,7 @@ class Channel {
       cv_not_full_.wait_for(lock, std::chrono::milliseconds(1));
       return;
     }
-    wait(backoff);
-  }
-  void wait(Backoff& backoff) {
-    if (mode_ == WaitMode::kSpin) {
-      cpu_relax();
-    } else {
-      backoff.pause();
-    }
+    backoff.pause();
   }
 
   SpscQueue<Envelope> queue_;
@@ -202,8 +192,8 @@ using Clock = std::chrono::steady_clock;
 /// Base of all runtime threads.
 class Unit {
  public:
-  Unit(std::string name, RunState* state, bool collect_stats)
-      : name_(std::move(name)), state_(state), collect_stats_(collect_stats) {}
+  Unit(std::string name, RunState* state)
+      : name_(std::move(name)), state_(state) {}
   virtual ~Unit() = default;
 
   /// Point this unit at telemetry sinks (called once at graph build, before
@@ -236,15 +226,9 @@ class Unit {
   /// Best effort: after a failure, push EOS downstream so peers unwind.
   virtual void propagate_eos_on_abort() {}
 
-  [[nodiscard]] UnitReport report() const {
-    return {name_, stats_, pinned_cpu_};
-  }
   [[nodiscard]] const std::string& name() const { return name_; }
-  /// Affinity bookkeeping, written once at launch before the thread runs.
-  void set_pinned_cpu(int cpu) { pinned_cpu_ = cpu; }
-  [[nodiscard]] int pinned_cpu() const { return pinned_cpu_; }
-  /// True once the unit's thread function returned (reports are safe to
-  /// read; the thread is joinable without blocking).
+  /// True once the unit's thread function returned (the thread is joinable
+  /// without blocking).
   [[nodiscard]] bool done() const {
     return done_.load(std::memory_order_acquire);
   }
@@ -257,20 +241,17 @@ class Unit {
  protected:
   /// Runs one svc call with the in-user-code flag raised and a progress
   /// tick on completion (so a pipeline whose queues are idle but whose
-  /// stages still finish work is not flagged as stalled). When stats or
-  /// telemetry are attached the call is timed once and the two clock reads
-  /// feed busy_seconds, the service-time histogram, and the span together.
+  /// stages still finish work is not flagged as stalled). When telemetry is
+  /// attached the call is timed once and the two clock reads feed both the
+  /// service-time histogram and the span.
   template <typename F>
   SvcResult guarded_svc(F&& f) {
     in_svc_.store(true, std::memory_order_release);
     SvcResult r;
-    if (collect_stats_ || svc_hist_ != nullptr || spans_ != nullptr) {
+    if (svc_hist_ != nullptr || spans_ != nullptr) {
       const auto t0 = Clock::now();
       r = f();
       const auto t1 = Clock::now();
-      if (collect_stats_) {
-        stats_.busy_seconds += std::chrono::duration<double>(t1 - t0).count();
-      }
       if (svc_hist_ != nullptr) {
         svc_hist_->record(static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
@@ -287,22 +268,19 @@ class Unit {
     return r;
   }
 
-  /// Bumps the per-stage item counter alongside the NodeStats item count.
+  /// Bumps the per-stage item counter.
   void count_item() {
     if (items_counter_ != nullptr) items_counter_->add(1);
   }
 
   std::string name_;
   RunState* state_;
-  bool collect_stats_;
-  NodeStats stats_;
   telemetry::Histogram* svc_hist_ = nullptr;
   telemetry::Counter* items_counter_ = nullptr;
   telemetry::SpanRecorder* spans_ = nullptr;
   const char* span_name_ = "";
   std::atomic<bool> done_{false};
   std::atomic<bool> in_svc_{false};
-  int pinned_cpu_ = -1;
 };
 
 /// Routes items from a node to one or more downstream channels, stamping
@@ -329,10 +307,9 @@ class Router final : public OutPort {
     const std::size_t n = active_outs();
     if (n == 1) return outs_[0]->push(std::move(env));
     if (policy_ == SchedPolicy::kLeastLoaded) {
-      // Route to the shallowest queue (ties to the lowest index). Unlike
-      // on-demand's first-with-space probe, a worker sitting on a deep
-      // queue is never fed while an emptier sibling exists, so one slow
-      // worker cannot capture the stream at the emitter.
+      // Route to the shallowest queue (ties to the lowest index): a worker
+      // sitting on a deep queue is never fed while an emptier sibling
+      // exists, so one slow worker cannot capture the stream at the emitter.
       std::size_t best = 0;
       std::size_t best_depth = outs_[0]->depth();
       for (std::size_t i = 1; i < n; ++i) {
@@ -343,17 +320,6 @@ class Router final : public OutPort {
         }
       }
       return outs_[best]->push(std::move(env));
-    }
-    if (policy_ == SchedPolicy::kOnDemand) {
-      // Rotate from the cursor looking for space; fall back to a blocking
-      // push on the cursor's channel so we never spin on a full farm.
-      for (std::size_t probe = 0; probe < n; ++probe) {
-        std::size_t i = (next_ + probe) % n;
-        if (outs_[i]->has_space()) {
-          next_ = i + 1;
-          return outs_[i]->push(std::move(env));
-        }
-      }
     }
     std::size_t i = next_ % n;
     ++next_;
@@ -394,9 +360,8 @@ class Router final : public OutPort {
 /// First pipeline stage: repeatedly calls svc(empty) until Eos.
 class SourceUnit final : public Unit {
  public:
-  SourceUnit(std::string name, RunState* state, bool collect_stats, Node* node,
-             Router router)
-      : Unit(std::move(name), state, collect_stats),
+  SourceUnit(std::string name, RunState* state, Node* node, Router router)
+      : Unit(std::move(name), state),
         node_(node),
         router_(std::move(router)) {}
 
@@ -407,7 +372,6 @@ class SourceUnit final : public Unit {
       SvcResult r = guarded_svc([&] { return node_->svc(Item{}); });
       if (r.kind == SvcResult::Kind::kEos) break;
       if (r.kind == SvcResult::Kind::kItem) {
-        ++stats_.items_out;
         count_item();
         Envelope env;
         env.kind = EnvKind::kItem;
@@ -431,10 +395,10 @@ class SourceUnit final : public Unit {
 /// Middle/sink stage (also farm workers): one input channel, svc per item.
 class StageUnit final : public Unit {
  public:
-  StageUnit(std::string name, RunState* state, bool collect_stats, Node* node,
-            Channel* in, Router router, bool propagate_seq, int replica_id,
+  StageUnit(std::string name, RunState* state, Node* node, Channel* in,
+            Router router, bool propagate_seq, int replica_id,
             bool is_sink = false)
-      : Unit(std::move(name), state, collect_stats),
+      : Unit(std::move(name), state),
         node_(node),
         in_(in),
         router_(std::move(router)),
@@ -467,7 +431,6 @@ class StageUnit final : public Unit {
           break;
         }
         if (env.kind == EnvKind::kHole) continue;  // holes die at collectors
-        ++stats_.items_in;
         count_item();
         std::uint64_t seq = env.seq;
         // Deadline budget: an expired item is not serviced by a non-sink
@@ -479,7 +442,6 @@ class StageUnit final : public Unit {
           if (!env.item.deadline_expired() &&
               deadline_clock_now() > env.item.deadline_ns()) {
             env.item.mark_deadline_expired();
-            ++stats_.deadline_drops;
             if (deadline_counter_ != nullptr) deadline_counter_->add(1);
           }
           if (env.item.deadline_expired()) {
@@ -500,7 +462,6 @@ class StageUnit final : public Unit {
         Envelope out;
         out.seq = propagate_seq_ ? seq : router_.take_seq();
         if (r.kind == SvcResult::Kind::kItem) {
-          ++stats_.items_out;
           out.kind = EnvKind::kItem;
           out.item = std::move(r.item);
           if (!router_.route(std::move(out))) running = false;
@@ -533,7 +494,7 @@ class StageUnit final : public Unit {
 class EmitterUnit final : public Unit {
  public:
   EmitterUnit(std::string name, RunState* state, Channel* in, Router router)
-      : Unit(std::move(name), state, false),
+      : Unit(std::move(name), state),
         in_(in),
         router_(std::move(router)) {}
 
@@ -549,7 +510,6 @@ class EmitterUnit final : public Unit {
           running = false;
           break;
         }
-        ++stats_.items_in;
         env.seq = router_.take_seq();  // restamp in arrival order
         if (!router_.route(std::move(env))) running = false;
       }
@@ -569,7 +529,7 @@ class CollectorUnit final : public Unit {
  public:
   CollectorUnit(std::string name, RunState* state,
                 std::vector<Channel*> ins, Router router, bool ordered)
-      : Unit(std::move(name), state, false),
+      : Unit(std::move(name), state),
         ins_(std::move(ins)),
         router_(std::move(router)),
         ordered_(ordered) {}
@@ -616,7 +576,6 @@ class CollectorUnit final : public Unit {
 
  private:
   bool forward(Item item) {
-    ++stats_.items_out;
     Envelope out;
     out.kind = EnvKind::kItem;
     out.seq = router_.take_seq();
@@ -735,7 +694,6 @@ struct Pipeline::Impl {
   // Threads still running when run_and_wait() returned after a watchdog
   // abort, paired with their units. The destructor reaps them.
   std::vector<std::pair<std::thread, Unit*>> stragglers;
-  std::vector<UnitReport> reports;
   FailureReport failure_report;
   // Resolved at run start so the destructor's reaper can count detaches
   // without consulting the (possibly global) telemetry gate again.
@@ -823,7 +781,6 @@ Status Pipeline::run_and_wait() {
   im.core = std::make_shared<RunCore>();
   std::shared_ptr<RunCore> core = im.core;
   core->options = im.options;
-  const bool stats = im.options.collect_stats;
 
   // Telemetry: an explicitly supplied bundle wins; otherwise fall back to
   // the process singletons iff telemetry::set_enabled(true) is in effect.
@@ -876,13 +833,13 @@ Status Pipeline::run_and_wait() {
       Router router(outs, SchedPolicy::kRoundRobin);
       if (is_source) {
         units.push_back(std::make_unique<SourceUnit>(
-            plain->name, &core->state, stats, node, std::move(router)));
+            plain->name, &core->state, node, std::move(router)));
         entry = nullptr;
       } else {
         Channel* in = core->new_channel(plain->name + ".in");
         auto stage_unit = std::make_unique<StageUnit>(
-            plain->name, &core->state, stats, node, in,
-            std::move(router), /*propagate_seq=*/false, /*replica_id=*/0,
+            plain->name, &core->state, node, in, std::move(router),
+            /*propagate_seq=*/false, /*replica_id=*/0,
             /*is_sink=*/idx == im.stages.size() - 1);
         stage_unit->set_deadline_counter(core->deadline_counter);
         units.push_back(std::move(stage_unit));
@@ -914,9 +871,9 @@ Status Pipeline::run_and_wait() {
       auto node = farm.factory();
       assert(node && "worker factory returned null");
       auto worker_unit = std::make_unique<StageUnit>(
-          worker_name, &core->state, stats, node.get(),
-          win, Router({worker_outs[static_cast<std::size_t>(w)]},
-                      SchedPolicy::kRoundRobin),
+          worker_name, &core->state, node.get(), win,
+          Router({worker_outs[static_cast<std::size_t>(w)]},
+                 SchedPolicy::kRoundRobin),
           /*propagate_seq=*/farm.options.ordered, /*replica_id=*/w);
       worker_unit->set_deadline_counter(core->deadline_counter);
       units.push_back(std::move(worker_unit));
@@ -941,7 +898,6 @@ Status Pipeline::run_and_wait() {
   // thread can never outlive the state it references.
   std::vector<std::thread> threads;
   threads.reserve(units.size());
-  const PinPolicy& pin = im.options.pin;
   const int ncores =
       std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   for (auto& unit : units) {
@@ -950,15 +906,13 @@ Status Pipeline::run_and_wait() {
       (*u)();
       core->signal_done();
     });
-    if (pin.enabled) {
-      const int idx = static_cast<int>(threads.size()) - 1;
-      int cpu = (pin.first_core + idx * pin.stride) % ncores;
-      if (cpu < 0) cpu += ncores;
-      if (pin_thread_to_cpu(threads.back(), cpu)) u->set_pinned_cpu(cpu);
+    if (im.options.pin) {
+      const int cpu = static_cast<int>(threads.size() - 1) % ncores;
+      const int pinned = pin_thread_to_cpu(threads.back(), cpu) ? cpu : -1;
       if (core->instr.registry != nullptr) {
         core->instr.registry
             ->gauge(core->instr.prefix + "." + u->name() + ".pinned_cpu")
-            ->set(static_cast<double>(u->pinned_cpu()));
+            ->set(static_cast<double>(pinned));
       }
     }
   }
@@ -1041,23 +995,9 @@ Status Pipeline::run_and_wait() {
     }
   }
 
-  im.reports.clear();
-  im.reports.reserve(units.size());
-  for (auto& unit : units) {
-    // A detached (stuck) unit may still be mutating its stats; report the
-    // name only.
-    im.reports.push_back(
-        unit->done() ? unit->report()
-                     : UnitReport{unit->name(), {}, unit->pinned_cpu()});
-  }
-
   std::lock_guard<std::mutex> lock(core->state.mu);
   im.failure_report.failures = core->state.failures;
   return im.failure_report.first();
-}
-
-const std::vector<UnitReport>& Pipeline::reports() const {
-  return impl_->reports;
 }
 
 const FailureReport& Pipeline::failure_report() const {

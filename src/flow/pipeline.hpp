@@ -27,7 +27,6 @@ namespace hs::flow {
 
 /// How queue waits behave when empty/full.
 enum class WaitMode : std::uint8_t {
-  kSpin,      ///< busy-wait with pause/yield (lowest latency)
   kBackoff,   ///< escalate to short sleeps (the default; frees the core)
   kBlocking,  ///< park on a condition variable (FastFlow's blocking mode:
               ///< lowest CPU use, highest wakeup latency)
@@ -36,34 +35,14 @@ enum class WaitMode : std::uint8_t {
 /// How an emitter assigns items to farm workers.
 enum class SchedPolicy : std::uint8_t {
   kRoundRobin,   ///< strict rotation (FastFlow default scheduling)
-  kOnDemand,     ///< first worker with queue space (load-balancing)
-  kLeastLoaded,  ///< worker with the shallowest queue. On-demand takes the
-                 ///< first queue with *any* space, so a worker sitting on a
-                 ///< nearly-full queue can be fed while an idle sibling
-                 ///< starves (head-of-line blocking at the emitter);
-                 ///< least-loaded always routes to the emptiest queue, which
-                 ///< tracks each worker's actual drain rate.
-};
-
-/// Opt-in core affinity for one run's worker threads. When enabled, every
-/// runtime thread (stages, emitters, workers, collectors) is pinned to a
-/// single core chosen round-robin in thread-launch order:
-///   core(i) = (first_core + i * stride) mod hardware_concurrency
-/// The assigned core of each thread is visible in UnitReport::pinned_cpu
-/// and, when the run is instrumented, in the "<prefix>.<stage>.pinned_cpu"
-/// gauge. Pinning is best-effort: on platforms without
-/// pthread_setaffinity_np (or when the syscall fails) the thread runs
-/// unpinned and reports pinned_cpu = -1.
-struct PinPolicy {
-  bool enabled = false;
-  int first_core = 0;  ///< core of the first launched thread
-  int stride = 1;      ///< core step between consecutive threads
+  kLeastLoaded,  ///< worker with the shallowest queue: routing follows each
+                 ///< worker's actual drain rate, so a slow worker sitting on
+                 ///< a deep queue is never fed while an idle sibling starves.
 };
 
 struct PipelineOptions {
   std::size_t queue_capacity = 512;
   WaitMode wait_mode = WaitMode::kBackoff;
-  bool collect_stats = false;  ///< measure per-node wall busy time
   /// Stage-stall watchdog: when > 0 and no runtime thread makes progress
   /// (queue traffic or completed svc calls) for this many seconds while the
   /// stream is still live, the run aborts with kAborted naming the stuck
@@ -92,8 +71,13 @@ struct PipelineOptions {
   /// registers every channel with the sampler as "<prefix>.<queue>". The
   /// supplied registry/recorder/sampler must outlive the Pipeline.
   telemetry::StreamInstrumentation telemetry;
-  /// Core affinity for this run's threads (off by default).
-  PinPolicy pin;
+  /// Opt-in core affinity: every runtime thread (stages, emitters, workers,
+  /// collectors) is pinned to one core chosen round-robin in thread-launch
+  /// order, core(i) = i mod hardware_concurrency. When the run is
+  /// instrumented each thread's core is the "<prefix>.<unit>.pinned_cpu"
+  /// gauge. Best-effort: where pthread_setaffinity_np is missing or fails
+  /// the thread runs unpinned and its gauge reads -1.
+  bool pin = false;
 };
 
 /// Runtime resize handle for an elastic farm. The farm is *provisioned* at
@@ -148,13 +132,6 @@ struct FarmOptions {
   FarmController* controller = nullptr;
 };
 
-/// Snapshot of one runtime thread's activity after a run.
-struct UnitReport {
-  std::string name;
-  NodeStats stats;
-  int pinned_cpu = -1;  ///< core this thread was pinned to; -1 = unpinned
-};
-
 /// One stage's failure during a run (exception escaping svc(), or the
 /// watchdog naming a stalled stage).
 struct StageFailure {
@@ -185,7 +162,8 @@ class Pipeline {
   Pipeline(const Pipeline&) = delete;
   Pipeline& operator=(const Pipeline&) = delete;
 
-  /// Appends a sequential stage. `name` is used in reports.
+  /// Appends a sequential stage. `name` labels its metrics, spans and
+  /// failures.
   void add_stage(std::unique_ptr<Node> node, std::string name = "stage");
 
   /// Appends a farm of `options.replicas` workers built by `worker_factory`
@@ -198,9 +176,6 @@ class Pipeline {
   /// from svc(), or a watchdog abort) or a validation error; OK otherwise.
   /// The full per-stage picture is in failure_report(). Single-shot.
   Status run_and_wait();
-
-  /// Per-thread activity reports; valid after run_and_wait().
-  [[nodiscard]] const std::vector<UnitReport>& reports() const;
 
   /// Every stage failure of the run, in observation order; valid after
   /// run_and_wait() (empty on success).

@@ -30,13 +30,6 @@ ToStream& ToStream::stage_nodes(
   return *this;
 }
 
-ToStream& ToStream::stage_nodes(
-    Replicate replicate, StageOptions opts,
-    std::function<std::unique_ptr<flow::Node>()> factory) {
-  add_stage(replicate.n, opts, std::move(factory));
-  return *this;
-}
-
 void ToStream::add_sink(std::unique_ptr<flow::Node> node) {
   if (sink_) {
     ++extra_sinks_;
@@ -106,10 +99,7 @@ Status ToStream::run(const Options& options) {
   ran_ = true;
 
   flow::PipelineOptions popts;
-  popts.queue_capacity = options.queue_capacity;
-  popts.wait_mode =
-      options.blocking ? flow::WaitMode::kBlocking : flow::WaitMode::kSpin;
-  popts.telemetry = options.telemetry;
+  popts.wait_mode = flow::WaitMode::kBlocking;
   popts.pin = options.pin;
 
   flow::Pipeline pipe(popts);
@@ -118,11 +108,9 @@ Status ToStream::run(const Options& options) {
   for (StageDecl& s : stages_) {
     std::string sname = name_ + ".stage" + std::to_string(i++);
     if (s.lowers_to_farm()) {
-      flow::FarmOptions fopts;
-      fopts.replicas = s.replicas;
-      fopts.ordered = s.opts.ordered.value_or(options.ordered);
-      fopts.policy = s.opts.policy.value_or(options.policy);
-      pipe.add_farm(std::move(s.factory), fopts, sname);
+      pipe.add_farm(std::move(s.factory),
+                    flow::FarmOptions{.replicas = s.replicas, .ordered = true},
+                    sname);
     } else {
       pipe.add_stage(s.factory(), sname);
     }

@@ -23,7 +23,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -55,29 +54,20 @@ struct Input {};
 template <typename... Ts>
 struct Output {};
 
-/// Region-level options. `ordered` mirrors SPar's -spar_ordered flag
-/// (stream order preserved through replicated stages); `blocking` mirrors
-/// -spar_blocking (suspending waits instead of pure busy-wait).
+/// Region-level options. A region always lowers the way SPar compiles
+/// with -spar_ordered and -spar_blocking: replicated stages are ordered,
+/// round-robin farms, and queue waits park on a condition variable. Stage
+/// metrics go to the process-wide telemetry singletons while
+/// telemetry::set_enabled(true), under the region's stage names
+/// ("flow.<name>.stageN.svc_ns" etc.).
 struct Options {
-  bool ordered = true;
-  bool blocking = true;
-  std::size_t queue_capacity = 512;
-  flow::SchedPolicy policy = flow::SchedPolicy::kRoundRobin;
-  /// Telemetry sinks passed through to the lowered flow::Pipeline. Left
-  /// inactive, the runtime falls back to the process-wide singletons when
-  /// telemetry::set_enabled(true) — stage metrics then appear under the
-  /// region's stage names ("flow.<name>.stageN.svc_ns" etc.).
-  telemetry::StreamInstrumentation telemetry;
-  /// Core affinity for the lowered pipeline's threads (off by default).
-  flow::PinPolicy pin;
+  /// Core affinity for the lowered pipeline's threads (off by default; see
+  /// flow::PipelineOptions::pin).
+  bool pin = false;
 };
 
-/// Per-stage lowering overrides. Region-level Options still set the
-/// defaults; a stage declared with StageOptions can deviate — e.g. an
-/// unordered least-loaded farm inside an otherwise ordered region.
+/// Per-stage lowering override.
 struct StageOptions {
-  std::optional<bool> ordered;               ///< override Options::ordered
-  std::optional<flow::SchedPolicy> policy;   ///< override Options::policy
   /// Lower to an emitter/worker/collector farm even with Replicate(1):
   /// same items in the same order, at the cost of two extra threads. Used
   /// when a stage's farm shape (scheduling, ordering, queue telemetry)
@@ -140,8 +130,6 @@ class ToStream {
   /// per-worker GPU stream/command-queue, as the paper's combined versions
   /// require).
   ToStream& stage_nodes(Replicate replicate,
-                        std::function<std::unique_ptr<flow::Node>()> factory);
-  ToStream& stage_nodes(Replicate replicate, StageOptions opts,
                         std::function<std::unique_ptr<flow::Node>()> factory);
 
   /// The final [[spar::Stage]] consuming the stream (Listing 1 line 22).

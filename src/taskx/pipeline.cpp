@@ -9,6 +9,7 @@
 
 #include "taskx/pool.hpp"
 #include "telemetry/span_recorder.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace hs::taskx {
 
@@ -52,7 +53,6 @@ struct Pipeline::Impl {
 
   std::function<std::optional<Item>()> source;
   std::vector<std::unique_ptr<Filter>> filters;
-  telemetry::StreamInstrumentation telemetry;
   bool ran = false;
   std::size_t token_cap = 0;  // max_live_tokens, fixed by run()
 
@@ -238,10 +238,6 @@ void Pipeline::add_filter(FilterMode mode, std::function<Item(Item)> fn,
   impl_->filters.push_back(std::move(f));
 }
 
-void Pipeline::set_telemetry(telemetry::StreamInstrumentation telemetry) {
-  impl_->telemetry = std::move(telemetry);
-}
-
 Status Pipeline::run(ThreadPool& pool, std::size_t max_live_tokens) {
   Impl& im = *impl_;
   if (im.ran) return FailedPrecondition("pipeline already ran");
@@ -254,10 +250,8 @@ Status Pipeline::run(ThreadPool& pool, std::size_t max_live_tokens) {
   }
   im.pool = &pool;
   im.token_cap = max_live_tokens;
-  telemetry::StreamInstrumentation instr =
-      im.telemetry.active() ? im.telemetry
-                            : telemetry::default_instrumentation("taskx");
-  if (instr.active() && instr.prefix.empty()) instr.prefix = "taskx";
+  const telemetry::StreamInstrumentation instr =
+      telemetry::default_instrumentation("taskx");
   for (auto& f : im.filters) {
     if (f->mode != FilterMode::kParallel) {
       f->parked.resize(max_live_tokens);  // at most cap-1 parked at once

@@ -23,7 +23,6 @@
 
 #include "common/status.hpp"
 #include "flow/item.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace hs::taskx {
 
@@ -52,15 +51,11 @@ class Pipeline {
   void add_filter(FilterMode mode, std::function<Item(Item)> fn,
                   std::string name = "filter");
 
-  /// Telemetry sinks for the run. When never called (or inactive), run()
-  /// falls back to telemetry::default_instrumentation("taskx") — active
-  /// only while telemetry::set_enabled(true). Per filter the run records
-  /// "<prefix>.<filter>.svc_ns" (histogram), "<prefix>.<filter>.items"
-  /// (counter), and a span per invocation on whichever pool thread ran it.
-  void set_telemetry(telemetry::StreamInstrumentation telemetry);
-
   /// Runs to completion on `pool`; the calling thread helps execute tasks.
-  /// `max_live_tokens` must be >= 1. Single-shot.
+  /// `max_live_tokens` must be >= 1. Single-shot. While
+  /// telemetry::set_enabled(true) is in effect, each filter records
+  /// "taskx.<filter>.svc_ns" (histogram), "taskx.<filter>.items" (counter)
+  /// and a span per invocation on whichever pool thread ran it.
   Status run(ThreadPool& pool, std::size_t max_live_tokens);
 
   /// Items fully processed (reached past the last filter), valid after run.

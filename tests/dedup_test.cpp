@@ -378,24 +378,11 @@ TEST_F(VariantEquivalenceTest, SparCpuAsymmetricFarmsMatch) {
   EXPECT_EQ(r.value(), reference_);
 }
 
-TEST_F(VariantEquivalenceTest, SparCpuUnorderedHashMatches) {
-  // Hash-completion-order delivery + least-loaded scheduling: the serial
-  // duplicate check's reorder buffer restores stream order, so the archive
-  // is still byte-identical to the sequential reference.
-  SparCpuOptions opts;
-  opts.workers_hash = 4;
-  opts.workers_compress = 2;
-  opts.hash_ordered = false;
-  auto r = archive_spar_cpu(input_, cfg_, opts);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r.value(), reference_);
-}
-
 TEST_F(VariantEquivalenceTest, SparCpuPinnedMatches) {
   SparCpuOptions opts;
   opts.workers_hash = 2;
   opts.workers_compress = 2;
-  opts.pin.enabled = true;
+  opts.pin = true;
   auto r = archive_spar_cpu(input_, cfg_, opts);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value(), reference_);

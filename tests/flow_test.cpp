@@ -407,17 +407,6 @@ TEST(PipelineTest, BlockingWaitModeWorks) {
   }
 }
 
-TEST(PipelineTest, SpinWaitModeWorks) {
-  PipelineOptions opts;
-  opts.wait_mode = WaitMode::kSpin;
-  Pipeline p(opts);
-  int count = 0;
-  p.add_stage(counting_source(2000), "src");
-  p.add_stage(make_sink<int>([&](int) { ++count; }), "sink");
-  ASSERT_TRUE(p.run_and_wait().ok());
-  EXPECT_EQ(count, 2000);
-}
-
 TEST(PipelineTest, SourceEmitMultiplePerSvc) {
   // A source can emit() several items then return GoOn/Eos.
   class BurstSource final : public Node {
@@ -441,22 +430,37 @@ TEST(PipelineTest, SourceEmitMultiplePerSvc) {
   EXPECT_EQ(got.back(), 309);
 }
 
-TEST(PipelineTest, ReportsCountItems) {
+/// Options that instrument a run into `registry` under the prefix "p".
+PipelineOptions instrumented(telemetry::Registry& registry) {
   PipelineOptions opts;
-  opts.collect_stats = true;
-  Pipeline p(opts);
+  opts.telemetry.registry = &registry;
+  opts.telemetry.prefix = "p";
+  return opts;
+}
+
+/// The "<prefix>.<unit>.pinned_cpu" gauges in `registry`.
+std::vector<telemetry::MetricsSnapshot::GaugeValue> pinned_cpu_gauges(
+    const telemetry::Registry& registry) {
+  std::vector<telemetry::MetricsSnapshot::GaugeValue> out;
+  for (const auto& g : registry.snapshot().gauges) {
+    if (g.name.ends_with(".pinned_cpu")) out.push_back(g);
+  }
+  return out;
+}
+
+TEST(PipelineTest, ReportsCountItems) {
+  telemetry::Registry reg;
+  Pipeline p(instrumented(reg));
   p.add_stage(counting_source(500), "src");
   p.add_stage(make_sink<int>([](int) {}), "sink");
   ASSERT_TRUE(p.run_and_wait().ok());
-  const auto& reports = p.reports();
-  ASSERT_EQ(reports.size(), 2u);
-  std::uint64_t in = 0, out = 0;
-  for (const auto& r : reports) {
-    in += r.stats.items_in;
-    out += r.stats.items_out;
+  // The source counts the items it sends, the sink the items it receives.
+  const telemetry::MetricsSnapshot snap = reg.snapshot();
+  for (const char* name : {"p.src.items", "p.sink.items"}) {
+    const auto* items = snap.find_counter(name);
+    ASSERT_NE(items, nullptr) << name;
+    EXPECT_EQ(items->value, 500u) << name;
   }
-  EXPECT_EQ(out, 500u);
-  EXPECT_EQ(in, 500u);
 }
 
 // ---- Farm ----------------------------------------------------------------------
@@ -626,8 +630,9 @@ TEST(FarmTest, ControllerResizeMidRunLosesNothing) {
 }
 
 TEST(PipelineTest, PinPolicyReportsPinnedCores) {
-  PipelineOptions opts;
-  opts.pin.enabled = true;
+  telemetry::Registry reg;
+  PipelineOptions opts = instrumented(reg);
+  opts.pin = true;
   Pipeline p(opts);
   std::vector<int> got;
   p.add_stage(counting_source(200), "src");
@@ -636,22 +641,27 @@ TEST(PipelineTest, PinPolicyReportsPinnedCores) {
   p.add_stage(make_sink<int>([&](int v) { got.push_back(v); }), "sink");
   ASSERT_TRUE(p.run_and_wait().ok());
   ASSERT_EQ(got.size(), 200u);
+  // One gauge per runtime thread: source, emitter, two workers, collector
+  // and sink.
+  const auto gauges = pinned_cpu_gauges(reg);
+  EXPECT_EQ(static_cast<int>(gauges.size()), p.thread_count());
 #if defined(__linux__)
   const int ncores =
       std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  for (const UnitReport& r : p.reports()) {
-    EXPECT_GE(r.pinned_cpu, 0) << r.name;
-    EXPECT_LT(r.pinned_cpu, ncores) << r.name;
+  for (const auto& g : gauges) {
+    EXPECT_GE(g.value, 0) << g.name;
+    EXPECT_LT(g.value, ncores) << g.name;
   }
 #endif
 }
 
 TEST(PipelineTest, UnpinnedRunReportsNoAffinity) {
-  Pipeline p;
+  telemetry::Registry reg;
+  Pipeline p(instrumented(reg));
   p.add_stage(counting_source(10), "src");
   p.add_stage(make_sink<int>([](int) {}), "sink");
   ASSERT_TRUE(p.run_and_wait().ok());
-  for (const UnitReport& r : p.reports()) EXPECT_EQ(r.pinned_cpu, -1);
+  EXPECT_TRUE(pinned_cpu_gauges(reg).empty());
 }
 
 TEST(FarmTest, OrderedFarmWithFilteringHoles) {
@@ -674,19 +684,6 @@ TEST(FarmTest, OrderedFarmWithFilteringHoles) {
     if (i % 3 != 0) expected.push_back(i);
   }
   EXPECT_EQ(got, expected);
-}
-
-TEST(FarmTest, OnDemandPolicyProcessesAll) {
-  Pipeline p;
-  std::atomic<int> count{0};
-  p.add_stage(counting_source(2000), "src");
-  p.add_farm(stage_factory<int, int>([](int v) { return v; }),
-             FarmOptions{.replicas = 3, .ordered = false,
-                         .policy = SchedPolicy::kOnDemand},
-             "ondemand");
-  p.add_stage(make_sink<int>([&](int) { ++count; }), "sink");
-  ASSERT_TRUE(p.run_and_wait().ok());
-  EXPECT_EQ(count.load(), 2000);
 }
 
 TEST(FarmTest, SingleReplicaOrderedFarm) {
@@ -847,7 +844,7 @@ TEST_P(FarmFailureSweep, ThrowingWorkerDrainsAndErrors) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWaitModes, FarmFailureSweep,
-                         ::testing::Values(WaitMode::kSpin, WaitMode::kBackoff,
+                         ::testing::Values(WaitMode::kBackoff,
                                            WaitMode::kBlocking));
 
 TEST(FailureReportTest, RecordsEveryFailingStage) {

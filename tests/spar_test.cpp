@@ -5,7 +5,6 @@
 
 #include <numeric>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "spar/spar.hpp"
@@ -28,25 +27,6 @@ TEST(SparTest, ListingOneShapeRuns) {
   ASSERT_EQ(shown.size(), 500u);
   // ordered=true by default (-spar_ordered): results arrive in order.
   for (int i = 0; i < 500; ++i) EXPECT_EQ(shown[static_cast<std::size_t>(i)], i * 10);
-}
-
-TEST(SparTest, UnorderedOptionAllowsReordering) {
-  ToStream region("unordered");
-  region.source<int>([i = 0]() mutable -> std::optional<int> {
-    return i < 1000 ? std::optional<int>(i++) : std::nullopt;
-  });
-  region.stage<int, int>(Replicate(4), [](int v) { return v; });
-  long long sum = 0;
-  std::size_t count = 0;
-  region.last_stage<int>([&](int v) {
-    sum += v;
-    ++count;
-  });
-  Options opts;
-  opts.ordered = false;
-  ASSERT_TRUE(region.run(opts).ok());
-  EXPECT_EQ(count, 1000u);
-  EXPECT_EQ(sum, 999LL * 1000 / 2);
 }
 
 TEST(SparTest, MultiStagePipeline) {
@@ -85,25 +65,6 @@ TEST(SparTest, StageOptionsForceFarmLowersSingleReplicaToFarm) {
             "pipeline(source, farm(stage x 1), sink)");
   // source + sink + (1 worker + emitter + collector)
   EXPECT_EQ(region.thread_count(), 5);
-}
-
-TEST(SparTest, PerStagePolicyAndOrderingOverridesRun) {
-  // An unordered least-loaded farm inside an ordered region: all items
-  // arrive, order not required.
-  ToStream region("override");
-  region.source<int>([i = 0]() mutable -> std::optional<int> {
-    return i < 500 ? std::optional<int>(i++) : std::nullopt;
-  });
-  StageOptions opts;
-  opts.force_farm = true;
-  opts.ordered = false;
-  opts.policy = flow::SchedPolicy::kLeastLoaded;
-  region.stage<int, int>(Replicate(3), opts, [](int v) { return v; });
-  std::multiset<int> got;
-  region.last_stage<int>([&](int v) { got.insert(v); });
-  ASSERT_TRUE(region.run().ok());
-  ASSERT_EQ(got.size(), 500u);
-  for (int i = 0; i < 500; ++i) EXPECT_EQ(got.count(i), 1u);
 }
 
 TEST(SparTest, StageNodesFactoryForStatefulWorkers) {
