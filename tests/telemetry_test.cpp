@@ -653,8 +653,17 @@ TEST(PipelineIntegrationTest, FlowPipelineReportsMetricsAndSpans) {
   flow::PipelineOptions opts;
   opts.telemetry = {&reg, &rec, &sampler, "it"};
   flow::Pipeline pipe(opts);
+  // The run's channels are registered before the source first runs. Hold
+  // the first item until two more sweeps have started, so at least one full
+  // sweep samples them even when the run would fit in one sampler period.
   pipe.add_stage(flow::make_source<int>(
-                     [i = 0]() mutable -> std::optional<int> {
+                     [i = 0, &sampler]() mutable -> std::optional<int> {
+                       if (i == 0) {
+                         const std::uint64_t start = sampler.sweeps();
+                         while (sampler.sweeps() < start + 2) {
+                           std::this_thread::yield();
+                         }
+                       }
                        return i < kItems ? std::optional<int>(i++)
                                          : std::nullopt;
                      }),
