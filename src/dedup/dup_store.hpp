@@ -13,7 +13,7 @@
 //
 //  * Cross-run content index: record()/lookup() track every digest ever
 //    seen in N = 16 lock-striped shards, callable concurrently from the
-//    unordered hash farm (each block's digest is recorded by whichever
+//    hash farm's workers (each block's digest is recorded by whichever
 //    worker hashed it, in completion order). spill() drains
 //    not-yet-persisted entries to an on-disk segment; open() replays all
 //    segments to rebuild the shard maps, so a restarted process knows

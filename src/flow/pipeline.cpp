@@ -109,7 +109,7 @@ class Channel {
         if (full_counter_ != nullptr) full_counter_->add(1);
       }
       if (state_->aborted()) return false;
-      wait_not_full(backoff);
+      wait(cv_not_full_, backoff);
     }
     state_->tick();
     if (mode_ == WaitMode::kBlocking) cv_not_empty_.notify_one();
@@ -129,7 +129,7 @@ class Channel {
     Backoff backoff;
     while (!queue_.try_pop(out)) {
       if (state_->aborted()) return false;
-      wait_not_empty(backoff);
+      wait(cv_not_empty_, backoff);
     }
     state_->tick();
     if (mode_ == WaitMode::kBlocking) cv_not_full_.notify_one();
@@ -153,7 +153,7 @@ class Channel {
     std::size_t n;
     while ((n = queue_.try_pop_n(out, max)) == 0) {
       if (state_->aborted()) return 0;
-      wait_not_empty(backoff);
+      wait(cv_not_empty_, backoff);
     }
     state_->tick();
     if (mode_ == WaitMode::kBlocking) cv_not_full_.notify_one();
@@ -161,18 +161,11 @@ class Channel {
   }
 
  private:
-  void wait_not_empty(Backoff& backoff) {
+  /// One wait step: park on `cv` (kBlocking) or back off (kBackoff).
+  void wait(std::condition_variable& cv, Backoff& backoff) {
     if (mode_ == WaitMode::kBlocking) {
       std::unique_lock<std::mutex> lock(cv_mu_);
-      cv_not_empty_.wait_for(lock, std::chrono::milliseconds(1));
-      return;
-    }
-    backoff.pause();
-  }
-  void wait_not_full(Backoff& backoff) {
-    if (mode_ == WaitMode::kBlocking) {
-      std::unique_lock<std::mutex> lock(cv_mu_);
-      cv_not_full_.wait_for(lock, std::chrono::milliseconds(1));
+      cv.wait_for(lock, std::chrono::milliseconds(1));
       return;
     }
     backoff.pause();

@@ -98,7 +98,7 @@ class ToStream {
     return *this;
   }
 
-  /// Replicated stage with per-stage lowering overrides.
+  /// Replicated stage with a per-stage lowering override.
   template <typename In, typename Out, typename Fn>
   ToStream& stage(Replicate replicate, StageOptions opts, Fn fn) {
     add_stage(replicate.n, opts, flow::stage_factory<In, Out>(std::move(fn)));
