@@ -51,12 +51,7 @@ des::TaskId Fabric::send(int from, int to, std::uint64_t bytes,
     double duration =
         link.spec.latency_s +
         static_cast<double>(bytes) / link.spec.bandwidth_bytes_per_s;
-    if (tail.valid()) {
-      des::TaskId deps[1] = {tail};
-      tail = timeline_->submit(engine, duration, deps, label);
-    } else {
-      tail = timeline_->submit(engine, duration, {}, label);
-    }
+    tail = timeline_->submit(engine, duration, {&tail, 1}, label);
     link.transfers += 1;
     link.bytes += bytes;
     total_transfers_ += 1;

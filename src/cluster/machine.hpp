@@ -39,9 +39,6 @@ class ClusterMachine {
   [[nodiscard]] des::Timeline& timeline() { return timeline_; }
 
   [[nodiscard]] double makespan() const { return timeline_.makespan(); }
-  [[nodiscard]] double finish_time(des::TaskId id) const {
-    return id.valid() ? timeline_.finish_time(id) : 0.0;
-  }
 
   /// Kernel launches summed over every device of every node.
   [[nodiscard]] std::uint64_t kernel_launches() const;

@@ -48,10 +48,9 @@ void ClusterReplay::profile(std::size_t stage, std::uint64_t index,
   c.items.push_back({index, host_seconds, gpu_seconds, copy_seconds});
 }
 
-double ClusterReplay::task_seconds(des::TaskId id) {
+double ClusterReplay::task_seconds(des::TaskId id) const {
   if (profile_ == nullptr || !id.valid()) return 0;
-  const des::Timeline& tl = machine_.timeline();
-  return tl.finish_time(id) - tl.start_time(id);
+  return id.finish - id.start;
 }
 
 void ClusterReplay::finish(ClusterRunResult& out) {

@@ -93,9 +93,9 @@ class ClusterReplay {
   /// number (the device round-robin key under GpuBinding::kPerItem).
   void profile(std::size_t stage, std::uint64_t index, double host_seconds,
                double gpu_seconds = 0, double copy_seconds = 0);
-  /// Duration of a recorded timeline task (every gpusim op is one task);
-  /// 0 when not profiling.
-  [[nodiscard]] double task_seconds(des::TaskId id);
+  /// Duration of a timeline task (every gpusim op is one task); 0 when not
+  /// profiling.
+  [[nodiscard]] double task_seconds(des::TaskId id) const;
 
   /// Copies the fabric counters into `out`, exports them to the options'
   /// registry and dumps the options' trace.

@@ -120,4 +120,43 @@ std::string format_seconds(double seconds) {
   return format_fixed(seconds * 1e9, 1) + "ns";
 }
 
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out;
+}
+
+Status write_file(const std::string& path, std::string_view data) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return Internal("cannot open " + path);
+  bool ok = std::fwrite(data.data(), 1, data.size(), f) == data.size();
+  if (std::fclose(f) != 0) ok = false;
+  if (!ok) return Internal("short write to " + path);
+  return OkStatus();
+}
+
 }  // namespace hs

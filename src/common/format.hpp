@@ -1,5 +1,6 @@
 // String formatting helpers: hex digests, byte-size units, fixed-point
-// numbers. Shared by reporters, the dedup container, and tests.
+// numbers, JSON string escapes, and the checked whole-file write. Shared by
+// reporters, the dedup container, the trace and metrics exporters, and tests.
 #pragma once
 
 #include <cstddef>
@@ -32,5 +33,13 @@ std::string format_fixed(double value, int digits);
 /// "12.3s", "450ms", "9.1us" — duration pretty-printer for reports
 /// (input is seconds).
 std::string format_seconds(double seconds);
+
+/// `s` escaped for the inside of a JSON string literal (quote, backslash
+/// and control characters).
+std::string json_escape(std::string_view s);
+
+/// Writes `data` to `path`, replacing it. INTERNAL when the file cannot be
+/// opened, or the write or the close fails.
+Status write_file(const std::string& path, std::string_view data);
 
 }  // namespace hs

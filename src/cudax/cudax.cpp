@@ -410,7 +410,11 @@ cudaError cudaStreamDestroy(cudaStream_t stream) {
   if (!detail::resolve_stream(stream, &dev, &sid)) {
     return cudaError::cudaErrorInvalidResourceHandle;
   }
-  return cudaError::cudaSuccess;  // virtual streams need no teardown
+  if (Status s = dev->destroy_stream(sid); !s.ok()) {
+    return detail::fail(cudaError::cudaErrorInvalidResourceHandle,
+                        s.ToString());
+  }
+  return cudaError::cudaSuccess;
 }
 
 cudaError cudaStreamSynchronize(cudaStream_t stream, double* vtime) {
@@ -457,10 +461,8 @@ cudaError cudaEventSynchronize(const cudaEvent_t& event, double* vtime) {
   if (!event.recorded) {
     return detail::fail(cudaError::cudaErrorNotReady, "event never recorded");
   }
-  gpusim::Machine* m = detail::machine();
-  if (m == nullptr) return cudaError::cudaErrorNoDevice;
-  double t = event.op.valid() ? m->finish_time(event.op.task) : 0.0;
-  if (vtime != nullptr) *vtime = t;
+  if (detail::machine() == nullptr) return cudaError::cudaErrorNoDevice;
+  if (vtime != nullptr) *vtime = event.op.task.finish;
   return cudaError::cudaSuccess;
 }
 

@@ -526,9 +526,7 @@ Fig5Result run_fig5(const DedupTrace& trace, const Fig5Config& config,
       }
       return **std::ranges::min_element(
           pools[static_cast<std::size_t>(run.node_of(3 + w))], {},
-          [&](const Space* s) {
-            return machine.finish_time(s->last_d2h.task);
-          });
+          [](const Space* s) { return s->last_d2h.task.finish; });
     };
 
     for (std::size_t i = 0; i < trace.batches.size(); ++i) {

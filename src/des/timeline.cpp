@@ -11,86 +11,39 @@ EngineId Timeline::add_engine(std::string name) {
   return id;
 }
 
-Time Timeline::deps_ready(std::span<const TaskId> deps) const {
-  Time ready = 0;
-  for (TaskId dep : deps) {
-    if (!dep.valid()) continue;
-    assert(dep.index < tasks_.size() && "dependency not yet submitted");
-    ready = std::max(ready, tasks_[dep.index].finish);
-  }
-  return ready;
-}
-
-TaskId Timeline::submit(EngineId engine, Time duration,
-                        std::span<const TaskId> deps) {
-  return submit(engine, duration, deps, {});
-}
-
 TaskId Timeline::submit(EngineId engine, Time duration,
                         std::span<const TaskId> deps,
                         std::string_view label) {
-  return submit_at(engine, duration, 0, deps, label);
-}
-
-TaskId Timeline::submit_at(EngineId engine, Time duration, Time earliest_start,
-                           std::span<const TaskId> deps,
-                           std::string_view label) {
   assert(engine.index < engines_.size());
   assert(duration >= 0 && "negative task duration");
-  assert(earliest_start >= 0 && "negative earliest start");
   EngineStats& e = engines_[engine.index];
-  Time start = std::max(std::max(e.free_at, earliest_start), deps_ready(deps));
+  Time start = e.free_at;
+  for (TaskId dep : deps) start = std::max(start, dep.finish);
   Time finish = start + duration;
   e.free_at = finish;
   e.busy += duration;
   e.tasks += 1;
   makespan_ = std::max(makespan_, finish);
-  tasks_.push_back(Task{start, finish, engine});
   if (recording_) {
     trace_.push_back(TraceEvent{std::string(label), engine.index, start,
                                 finish});
   }
-  return TaskId{tasks_.size() - 1};
-}
-
-TaskId Timeline::submit_after(EngineId engine, Time duration, TaskId dep) {
-  if (dep.valid()) {
-    TaskId deps[1] = {dep};
-    return submit(engine, duration, deps);
-  }
-  return submit(engine, duration, {});
+  return TaskId{start, finish};
 }
 
 TaskId Timeline::join(std::span<const TaskId> deps) {
-  if (!has_join_engine_) {
-    join_engine_ = add_engine("timeline.join");
-    has_join_engine_ = true;
+  TaskId latest{};
+  for (TaskId dep : deps) {
+    if (dep.valid() && (!latest.valid() || dep.finish > latest.finish)) {
+      latest = dep;
+    }
   }
-  // A join must not serialize unrelated joins behind each other, so reset
-  // the join engine's availability to the deps' ready time: joins are
-  // zero-duration and conceptually run on infinite parallelism.
-  engines_[join_engine_.index].free_at = 0;
-  return submit(join_engine_, 0, deps);
-}
-
-Time Timeline::start_time(TaskId id) const {
-  assert(id.valid() && id.index < tasks_.size());
-  return tasks_[id.index].start;
-}
-
-Time Timeline::finish_time(TaskId id) const {
-  assert(id.valid() && id.index < tasks_.size());
-  return tasks_[id.index].finish;
+  return latest;
 }
 
 const EngineStats& Timeline::engine_stats(EngineId id) const {
   assert(id.index < engines_.size());
   return engines_[id.index];
-}
-
-double Timeline::utilization(EngineId id) const {
-  if (makespan_ <= 0) return 0.0;
-  return engine_stats(id).busy / makespan_;
 }
 
 }  // namespace hs::des

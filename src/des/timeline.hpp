@@ -11,16 +11,18 @@
 //
 // There is no global event queue: because each engine is serial-FIFO and
 // durations are known at submission, completion times are computable
-// greedily in submission order. Dependencies must therefore reference
-// already-submitted tasks (enforced). This matches how CUDA streams and
-// OpenCL in-order command queues serialize work.
+// greedily in submission order, and a task's times are final the moment
+// submit() returns them. Dependencies therefore reference already-submitted
+// tasks by construction: a handle exists only because submit() returned it.
+// This matches how CUDA streams and OpenCL in-order command queues
+// serialize work.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hs::des {
@@ -28,13 +30,15 @@ namespace hs::des {
 /// Virtual time in seconds.
 using Time = double;
 
-/// Opaque task handle; valid for the lifetime of the Timeline that issued it.
+/// A submitted task: the handle is the task's own record, its start and
+/// finish. The default value is "no task": not valid(), and it finishes at
+/// 0, the time every reader reports for no task, so a dependency on it
+/// delays nothing.
 struct TaskId {
-  std::uint64_t index = kInvalid;
-  static constexpr std::uint64_t kInvalid =
-      std::numeric_limits<std::uint64_t>::max();
-  [[nodiscard]] bool valid() const { return index != kInvalid; }
-  friend bool operator==(TaskId a, TaskId b) { return a.index == b.index; }
+  Time start = -1;
+  Time finish = 0;
+  [[nodiscard]] bool valid() const { return start >= 0; }
+  friend bool operator==(TaskId a, TaskId b) = default;
 };
 
 /// Handle to a serial engine registered on a Timeline.
@@ -51,8 +55,8 @@ struct EngineStats {
   std::uint64_t tasks = 0;
 };
 
-/// One recorded task, for trace export (labels are only retained while
-/// recording is enabled; see set_recording).
+/// One recorded task, for trace export (kept only while recording is
+/// enabled; see set_recording).
 struct TraceEvent {
   std::string label;
   std::uint32_t engine = 0;
@@ -60,33 +64,24 @@ struct TraceEvent {
   Time finish = 0;
 };
 
-/// The timeline: registry of engines plus the append-only task log.
+/// The timeline: the registry of engines and their state. It keeps no
+/// per-task log; a trace only while recording.
 class Timeline {
  public:
   /// Registers a serial FIFO engine (e.g. "gpu0.compute").
   EngineId add_engine(std::string name);
 
-  /// Submits a task. `duration` must be >= 0. All `deps` must already have
-  /// been submitted to this timeline. Returns the task's id.
-  TaskId submit(EngineId engine, Time duration, std::span<const TaskId> deps);
+  /// Submits a task of `duration` (>= 0) after every task in `deps`
+  /// (invalid ids delay nothing). `label` names it in the trace when
+  /// recording is enabled.
+  TaskId submit(EngineId engine, Time duration,
+                std::span<const TaskId> deps = {},
+                std::string_view label = {});
 
-  /// Labeled form, retained in the trace when recording is enabled.
-  TaskId submit(EngineId engine, Time duration, std::span<const TaskId> deps,
-                std::string_view label);
-
-  /// Like submit, but the task additionally cannot start before
-  /// `earliest_start` (absolute virtual time):
-  ///
-  ///   start = max(engine_free_time, earliest_start, deps_ready)
-  ///
-  /// This models work entering the schedule from outside the dependency
-  /// graph — cross-traffic arriving on a shared fabric link at a known
-  /// time, a tenant request with a release time — while keeping the greedy
-  /// submission-order computation intact (the minimum start is a constant,
-  /// so completion times are still computable at submission).
-  TaskId submit_at(EngineId engine, Time duration, Time earliest_start,
-                   std::span<const TaskId> deps = {},
-                   std::string_view label = {});
+  /// The latest-finishing of `deps` (no task when none is valid): waiting
+  /// for all of them is waiting for it. Submits nothing; this is
+  /// event / clWaitForEvents semantics.
+  static TaskId join(std::span<const TaskId> deps);
 
   /// Enables per-task trace recording (off by default: figure benches
   /// submit millions of tasks; tracing is a debugging/visualization aid).
@@ -96,48 +91,17 @@ class Timeline {
     return trace_;
   }
 
-  /// Convenience: no dependencies.
-  TaskId submit(EngineId engine, Time duration) {
-    return submit(engine, duration, {});
-  }
-
-  /// Convenience: single dependency (ignored if invalid, which lets callers
-  /// chain "previous op in stream" without special-casing the first op).
-  TaskId submit_after(EngineId engine, Time duration, TaskId dep);
-
-  /// A zero-duration task on a virtual "join" engine that waits for all
-  /// deps. Useful for events / clWaitForEvents semantics.
-  TaskId join(std::span<const TaskId> deps);
-
-  [[nodiscard]] Time start_time(TaskId id) const;
-  [[nodiscard]] Time finish_time(TaskId id) const;
-
   /// Finish time of the latest-finishing task submitted so far (the
   /// makespan of the modeled schedule).
   [[nodiscard]] Time makespan() const { return makespan_; }
 
-  [[nodiscard]] std::size_t task_count() const { return tasks_.size(); }
   [[nodiscard]] std::size_t engine_count() const { return engines_.size(); }
   [[nodiscard]] const EngineStats& engine_stats(EngineId id) const;
 
-  /// Busy fraction of an engine over [0, makespan]; 0 when makespan is 0.
-  [[nodiscard]] double utilization(EngineId id) const;
-
  private:
-  struct Task {
-    Time start = 0;
-    Time finish = 0;
-    EngineId engine;
-  };
-
-  [[nodiscard]] Time deps_ready(std::span<const TaskId> deps) const;
-
   std::vector<EngineStats> engines_;
-  std::vector<Task> tasks_;
   bool recording_ = false;
   std::vector<TraceEvent> trace_;
-  EngineId join_engine_{};   ///< lazily-created engine for join() tasks
-  bool has_join_engine_ = false;
   Time makespan_ = 0;
 };
 

@@ -1,71 +1,56 @@
 #include "des/trace_export.hpp"
 
 #include <cstdio>
-#include <sstream>
+#include <utility>
+#include <vector>
+
+#include "common/format.hpp"
 
 namespace hs::des {
 
-namespace {
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
+Result<std::string> chrome_trace_json(std::span<const std::string> tracks,
+                                      std::span<const TraceEvent> events) {
+  if (events.empty()) {
+    return FailedPrecondition(
+        "nothing recorded: call set_recording(true) before the run");
   }
+  std::string out = "{\"traceEvents\":[\n";
+  const char* sep = "";
+  for (std::size_t t = 0; t < tracks.size(); ++t) {
+    out += std::exchange(sep, ",\n");
+    out += R"({"ph":"M","pid":1,"tid":)" + std::to_string(t) +
+           R"(,"name":"thread_name","args":{"name":")" +
+           json_escape(tracks[t]) + "\"}}";
+  }
+  char times[96];
+  for (const TraceEvent& ev : events) {
+    out += std::exchange(sep, ",\n");
+    std::string_view name = ev.label;
+    if (name.empty()) name = "task";
+    out += R"({"ph":"X","pid":1,"tid":)" + std::to_string(ev.engine) +
+           R"(,"name":")" + json_escape(name);
+    // Fixed-point microseconds with 3 decimals: nanosecond resolution at
+    // any trace length (a default ostream keeps 6 significant digits).
+    std::snprintf(times, sizeof times, R"(","ts":%.3f,"dur":%.3f})",
+                  ev.start * 1e6, (ev.finish - ev.start) * 1e6);
+    out += times;
+  }
+  out += "\n]}\n";
+  return out;
 }
 
-}  // namespace
-
 Result<std::string> chrome_trace_json(const Timeline& timeline) {
-  if (timeline.trace_events().empty()) {
-    return FailedPrecondition(
-        "no trace recorded: call set_recording(true) before submitting");
-  }
-  std::ostringstream os;
-  os << "{\"traceEvents\":[\n";
-  bool first = true;
-  // Track names: one metadata event per engine.
+  std::vector<std::string> tracks;
+  tracks.reserve(timeline.engine_count());
   for (std::uint32_t e = 0; e < timeline.engine_count(); ++e) {
-    if (!first) os << ",\n";
-    first = false;
-    os << R"({"ph":"M","pid":1,"tid":)" << e
-       << R"(,"name":"thread_name","args":{"name":")";
-    json_escape(os, timeline.engine_stats(EngineId{e}).name);
-    os << "\"}}";
+    tracks.push_back(timeline.engine_stats(EngineId{e}).name);
   }
-  // Complete events; timestamps in microseconds of virtual time.
-  for (const TraceEvent& ev : timeline.trace_events()) {
-    os << ",\n";
-    os << R"({"ph":"X","pid":1,"tid":)" << ev.engine << R"(,"name":")";
-    json_escape(os, ev.label.empty() ? std::string("task") : ev.label);
-    os << R"(","ts":)" << ev.start * 1e6 << R"(,"dur":)"
-       << (ev.finish - ev.start) * 1e6 << "}";
-  }
-  os << "\n]}\n";
-  return os.str();
+  return chrome_trace_json(tracks, timeline.trace_events());
 }
 
 Status write_chrome_trace(const Timeline& timeline, const std::string& path) {
-  auto json = chrome_trace_json(timeline);
-  if (!json.ok()) return json.status();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Internal("cannot open trace file: " + path);
-  bool ok = std::fwrite(json.value().data(), 1, json.value().size(), f) ==
-            json.value().size();
-  std::fclose(f);
-  if (!ok) return Internal("short write to trace file: " + path);
-  return OkStatus();
+  HS_ASSIGN_OR_RETURN(const std::string json, chrome_trace_json(timeline));
+  return write_file(path, json);
 }
 
 }  // namespace hs::des

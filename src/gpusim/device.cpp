@@ -67,8 +67,25 @@ bool Device::owns_range(const void* ptr, std::uint64_t len) const {
 
 StreamId Device::create_stream() {
   std::lock_guard<std::mutex> lock(machine_->mu());
+  if (!free_streams_.empty()) {
+    StreamId stream = free_streams_.back();
+    free_streams_.pop_back();
+    return stream;
+  }
   stream_last_.push_back(des::TaskId{});
   return static_cast<StreamId>(stream_last_.size() - 1);
+}
+
+Status Device::destroy_stream(StreamId stream) {
+  std::lock_guard<std::mutex> lock(machine_->mu());
+  if (stream == default_stream()) return OkStatus();
+  if (stream >= stream_last_.size() ||
+      std::ranges::find(free_streams_, stream) != free_streams_.end()) {
+    return InvalidArgument("destroy of an unknown or destroyed stream");
+  }
+  stream_last_[stream] = des::TaskId{};
+  free_streams_.push_back(stream);
+  return OkStatus();
 }
 
 std::size_t Device::stream_count() const {
@@ -88,16 +105,12 @@ des::EngineId Device::engine_for(EngineKind kind) const {
 
 OpHandle Device::record_locked(StreamId stream, EngineKind kind,
                                double duration) {
-  des::TaskId prev = stream_last_[stream];
   const char* label = kind == EngineKind::kCompute ? "kernel"
                       : kind == EngineKind::kH2D   ? "h2d"
                                                    : "d2h";
-  des::TaskId deps[1] = {prev};
-  des::TaskId task = machine_->tl().submit(
-      engine_for(kind), duration,
-      std::span<const des::TaskId>(deps, prev.valid() ? 1 : 0), label);
-  stream_last_[stream] = task;
-  return OpHandle{task};
+  des::TaskId& last = stream_last_[stream];
+  last = machine_->tl().submit(engine_for(kind), duration, {&last, 1}, label);
+  return OpHandle{last};
 }
 
 Result<OpHandle> Device::memcpy_impl(void* dst, const void* src,
@@ -204,26 +217,20 @@ Status Device::wait_event(StreamId stream, OpHandle event) {
   if (stream >= stream_last_.size()) return InvalidArgument("unknown stream id");
   if (!event.valid()) return InvalidArgument("wait on unrecorded event");
   des::TaskId deps[2] = {stream_last_[stream], event.task};
-  std::size_t n = stream_last_[stream].valid() ? 2 : 1;
-  stream_last_[stream] =
-      machine_->tl().join(std::span<const des::TaskId>(
-          n == 2 ? deps : deps + 1, n));
+  stream_last_[stream] = des::Timeline::join(deps);
   return OkStatus();
 }
 
 Result<double> Device::sync_stream(StreamId stream) {
   std::lock_guard<std::mutex> lock(machine_->mu());
   if (stream >= stream_last_.size()) return InvalidArgument("unknown stream id");
-  des::TaskId last = stream_last_[stream];
-  return last.valid() ? machine_->tl().finish_time(last) : 0.0;
+  return stream_last_[stream].finish;
 }
 
 double Device::sync_all() {
   std::lock_guard<std::mutex> lock(machine_->mu());
   double t = 0;
-  for (des::TaskId last : stream_last_) {
-    if (last.valid()) t = std::max(t, machine_->tl().finish_time(last));
-  }
+  for (des::TaskId last : stream_last_) t = std::max(t, last.finish);
   return t;
 }
 
@@ -318,11 +325,6 @@ des::TaskId Machine::host_task(des::EngineId engine, double duration,
 double Machine::makespan() const {
   std::lock_guard<std::mutex> lock(mu());
   return tl().makespan();
-}
-
-double Machine::finish_time(des::TaskId id) const {
-  std::lock_guard<std::mutex> lock(mu());
-  return tl().finish_time(id);
 }
 
 }  // namespace hs::gpusim

@@ -101,7 +101,13 @@ class Device {
 
   // --- streams -----------------------------------------------------------
   StreamId default_stream() const { return 0; }
+  /// A new stream, reusing a destroyed stream's id (with no work) first.
   StreamId create_stream();
+  /// Releases `stream` for a later create_stream (cudaStreamDestroy), so a
+  /// machine whose workers create and destroy streams for as long as it
+  /// runs keeps a bounded stream table. Destroying the default stream does
+  /// nothing; an unknown or already destroyed stream is INVALID_ARGUMENT.
+  Status destroy_stream(StreamId stream);
   [[nodiscard]] std::size_t stream_count() const;
 
   // --- operations --------------------------------------------------------
@@ -202,6 +208,7 @@ class Device {
   std::uint64_t memory_used_ = 0;
 
   std::vector<des::TaskId> stream_last_;  // per-stream chain tail
+  std::vector<StreamId> free_streams_;     // destroyed, reused first
   DeviceCounters counters_;
 
   std::optional<FaultPlan> fault_plan_;
@@ -244,7 +251,6 @@ class Machine {
                         std::span<const des::TaskId> deps = {});
 
   [[nodiscard]] double makespan() const;
-  [[nodiscard]] double finish_time(des::TaskId id) const;
 
   std::mutex& mutex() { return mu(); }
 

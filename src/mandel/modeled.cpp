@@ -412,8 +412,8 @@ RunResult run_gpu_single_thread(const IterationMap& map,
     // Adaptive: the space whose in-flight d2h lands first (an idle space
     // scores 0, so every space gets primed first; ties go to the lowest
     // index).
-    const auto d2h_done = [&run](const MemSpace& s) {
-      return run.machine().finish_time(s.last_d2h.task);
+    const auto d2h_done = [](const MemSpace& s) {
+      return s.last_d2h.task.finish;
     };
     int first = 0;
     for (int b = 0; first < dim; ++b) {
@@ -559,7 +559,7 @@ RunResult run_combined(const IterationMap& map, const ModeledConfig& cfg,
     space.last_d2h = launch_batch(map, space, first, count, image);
     const double busy = space.device->compute_busy_seconds() - busy0;
     sizer.observe(count, busy, 2 * govh);
-    free_at[d] = machine.finish_time(space.last_d2h.task);
+    free_at[d] = space.last_d2h.task.finish;
     run.profile(2 + w, item, movh + 2 * govh, busy,
                 run.task_seconds(space.last_d2h.task));
 

@@ -1,25 +1,18 @@
 #include "perfmodel/host_model.hpp"
 
-#include <vector>
-
 namespace hs::perfmodel {
 
 des::TaskId ModeledHost::work(double seconds,
                               std::span<const des::TaskId> deps) {
-  // Chain after the previous task on this worker plus the explicit deps.
-  std::vector<des::TaskId> all;
-  all.reserve(deps.size() + 1);
-  if (tail_.valid()) all.push_back(tail_);
-  for (des::TaskId d : deps) {
-    if (d.valid()) all.push_back(d);
-  }
-  tail_ = machine_->host_task(engine_, seconds, all);
+  // Chain after the previous task on this worker and the latest of the
+  // explicit deps.
+  des::TaskId after[2] = {tail_, des::Timeline::join(deps)};
+  tail_ = machine_->host_task(engine_, seconds, after);
   return tail_;
 }
 
 des::TaskId ModeledHost::work_after(double seconds, des::TaskId dep) {
-  des::TaskId deps[1] = {dep};
-  return work(seconds, std::span<const des::TaskId>(deps, dep.valid() ? 1 : 0));
+  return work(seconds, {&dep, 1});
 }
 
 }  // namespace hs::perfmodel

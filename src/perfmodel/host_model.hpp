@@ -78,9 +78,7 @@ class ModeledHost {
 
   [[nodiscard]] des::TaskId tail() const { return tail_; }
   [[nodiscard]] des::EngineId engine() const { return engine_; }
-  [[nodiscard]] double finish_time() const {
-    return tail_.valid() ? machine_->finish_time(tail_) : 0.0;
-  }
+  [[nodiscard]] double finish_time() const { return tail_.finish; }
 
  private:
   gpusim::Machine* machine_;

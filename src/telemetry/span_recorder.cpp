@@ -1,38 +1,14 @@
 #include "telemetry/span_recorder.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <sstream>
 
+#include "common/format.hpp"
+#include "des/trace_export.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace hs::telemetry {
 
 namespace {
-
-void json_escape(std::ostream& os, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-}
 
 // Per-thread cache of (recorder uid -> ring). A thread typically talks to
 // one recorder, so the linear scan is one compare. Keyed by uid, not
@@ -127,60 +103,33 @@ std::uint64_t SpanRecorder::span_count() const {
 }
 
 Result<std::string> SpanRecorder::chrome_trace_json() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t total = 0;
-  for (const auto& ring : rings_) {
-    total += std::min<std::uint64_t>(
-        ring->count.load(std::memory_order_acquire), ring->slots.size());
-  }
-  if (total == 0) {
-    return FailedPrecondition(
-        "no spans recorded: call set_recording(true) before the run");
-  }
-  std::ostringstream os;
-  os << "{\"traceEvents\":[\n";
-  bool first = true;
-  for (const auto& ring : rings_) {
-    if (!first) os << ",\n";
-    first = false;
-    os << R"({"ph":"M","pid":1,"tid":)" << ring->tid
-       << R"(,"name":"thread_name","args":{"name":")";
-    const std::string& name = thread_names_[ring->tid];
-    if (name.empty()) {
-      os << "t" << ring->tid;
-    } else {
-      json_escape(os, name);
+  std::vector<std::string> tracks;
+  std::vector<des::TraceEvent> events;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& ring : rings_) {
+      const std::string& name = thread_names_[ring->tid];
+      tracks.push_back(name.empty() ? "t" + std::to_string(ring->tid) : name);
     }
-    os << "\"}}";
-  }
-  for (const auto& ring : rings_) {
-    std::uint64_t n = ring->count.load(std::memory_order_acquire);
-    std::uint64_t kept = std::min<std::uint64_t>(n, ring->slots.size());
-    // Oldest surviving span first; ring indices wrap modulo capacity.
-    for (std::uint64_t i = n - kept; i < n; ++i) {
-      const Span& sp = ring->slots[i % ring->slots.size()];
-      os << ",\n";
-      os << R"({"ph":"X","pid":1,"tid":)" << ring->tid << R"(,"name":")";
-      json_escape(os, sp.name != nullptr ? sp.name : "span");
-      os << R"(","ts":)" << static_cast<double>(sp.start_ns) / 1000.0
-         << R"(,"dur":)"
-         << static_cast<double>(sp.end_ns - sp.start_ns) / 1000.0 << "}";
+    for (const auto& ring : rings_) {
+      std::uint64_t n = ring->count.load(std::memory_order_acquire);
+      std::uint64_t kept = std::min<std::uint64_t>(n, ring->slots.size());
+      // Oldest surviving span first; ring indices wrap modulo capacity.
+      for (std::uint64_t i = n - kept; i < n; ++i) {
+        const Span& sp = ring->slots[i % ring->slots.size()];
+        events.push_back(des::TraceEvent{
+            sp.name != nullptr ? sp.name : "span", ring->tid,
+            static_cast<double>(sp.start_ns) / 1e9,
+            static_cast<double>(sp.end_ns) / 1e9});
+      }
     }
   }
-  os << "\n]}\n";
-  return os.str();
+  return des::chrome_trace_json(tracks, events);
 }
 
 Status SpanRecorder::write_chrome_trace(const std::string& path) const {
-  auto json = chrome_trace_json();
-  if (!json.ok()) return json.status();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Internal("cannot open trace file: " + path);
-  bool ok = std::fwrite(json.value().data(), 1, json.value().size(), f) ==
-            json.value().size();
-  int rc = std::fclose(f);
-  if (!ok || rc != 0) return Internal("short write to trace file: " + path);
-  return OkStatus();
+  HS_ASSIGN_OR_RETURN(const std::string json, chrome_trace_json());
+  return write_file(path, json);
 }
 
 void SpanRecorder::reset() {

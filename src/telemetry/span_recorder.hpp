@@ -1,7 +1,7 @@
 // SpanRecorder — begin/end spans from real execution, exported as Chrome
-// trace-event JSON with the same event schema as des/trace_export, so a
-// modeled DES schedule and a measured run load side-by-side in Perfetto
-// (chrome://tracing or https://ui.perfetto.dev).
+// trace-event JSON through des/trace_export's writer, the schema's one
+// home, so a modeled DES schedule and a measured run load side-by-side in
+// Perfetto (chrome://tracing or https://ui.perfetto.dev).
 //
 // Each thread records into its own fixed-capacity ring buffer, registered on
 // first use and owned by the recorder (rings outlive their threads, so
@@ -76,10 +76,10 @@ class SpanRecorder {
   /// Total spans currently held (sum over rings, capped per ring).
   [[nodiscard]] std::uint64_t span_count() const;
 
-  /// Chrome trace-event JSON ({"traceEvents":[...]}) — thread_name metadata
-  /// per track, then "X" complete events with ts/dur in microseconds.
-  /// FailedPrecondition when no spans were recorded. Call after the
-  /// instrumented run finishes; export does not quiesce writers.
+  /// Chrome trace-event JSON (des::chrome_trace_json): one track per
+  /// thread, one "X" event per span held. FailedPrecondition when no spans
+  /// were recorded. Call after the instrumented run finishes; export does
+  /// not quiesce writers.
   [[nodiscard]] Result<std::string> chrome_trace_json() const;
   [[nodiscard]] Status write_chrome_trace(const std::string& path) const;
 

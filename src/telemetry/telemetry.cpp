@@ -6,6 +6,7 @@
 #include <mutex>
 
 #include "common/buffer_pool.hpp"
+#include "common/format.hpp"
 #include "telemetry/queue_sampler.hpp"
 #include "telemetry/span_recorder.hpp"
 
@@ -65,36 +66,6 @@ std::string prom_name(std::string_view name) {
     out.push_back(ok ? c : '_');
   }
   if (out.empty()) out = "_";
-  return out;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
   return out;
 }
 
@@ -256,15 +227,7 @@ void Registry::reset_values() {
 Status Registry::write_metrics(const std::string& path) const {
   MetricsSnapshot snap = snapshot();
   bool json = path.size() >= 5 && path.rfind(".json") == path.size() - 5;
-  std::string body = json ? snap.json() : snap.prometheus_text();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Internal("cannot open metrics file: " + path);
-  std::size_t written = std::fwrite(body.data(), 1, body.size(), f);
-  int rc = std::fclose(f);
-  if (written != body.size() || rc != 0) {
-    return Internal("short write to metrics file: " + path);
-  }
-  return OkStatus();
+  return write_file(path, json ? snap.json() : snap.prometheus_text());
 }
 
 const MetricsSnapshot::CounterValue* MetricsSnapshot::find_counter(

@@ -139,8 +139,8 @@ TEST(FabricTest, TransfersSerializeOnSharedLink) {
   Fabric fabric(topo, &tl);
   des::TaskId t1 = fabric.send(0, 1, 1'000'000);
   des::TaskId t2 = fabric.send(0, 1, 1'000'000);
-  EXPECT_DOUBLE_EQ(tl.finish_time(t1), 2e-3);
-  EXPECT_DOUBLE_EQ(tl.finish_time(t2), 4e-3);  // queued behind t1
+  EXPECT_DOUBLE_EQ(t1.finish, 2e-3);
+  EXPECT_DOUBLE_EQ(t2.finish, 4e-3);  // queued behind t1
 }
 
 TEST(FabricTest, FullDuplexDirectionsDoNotContend) {
@@ -149,7 +149,7 @@ TEST(FabricTest, FullDuplexDirectionsDoNotContend) {
   Fabric fabric(topo, &tl);
   fabric.send(0, 1, 1'000'000);
   des::TaskId back = fabric.send(1, 0, 1'000'000);
-  EXPECT_DOUBLE_EQ(tl.finish_time(back), 2e-3);  // own engine, no queue
+  EXPECT_DOUBLE_EQ(back.finish, 2e-3);  // own engine, no queue
 }
 
 TEST(FabricTest, HalfDuplexDirectionsContend) {
@@ -158,7 +158,7 @@ TEST(FabricTest, HalfDuplexDirectionsContend) {
   Fabric fabric(topo, &tl);
   fabric.send(0, 1, 1'000'000);
   des::TaskId back = fabric.send(1, 0, 1'000'000);
-  EXPECT_DOUBLE_EQ(tl.finish_time(back), 4e-3);  // shared engine
+  EXPECT_DOUBLE_EQ(back.finish, 4e-3);  // shared engine
 }
 
 TEST(FabricTest, SelfSendIsNoOp) {
@@ -180,15 +180,15 @@ TEST(FabricTest, MultiHopChainsPerHopTasks) {
   des::Timeline tl;
   Fabric fabric(topo.value(), &tl);
   des::TaskId t = fabric.send(0, 2, 1'000'000);
-  EXPECT_DOUBLE_EQ(tl.finish_time(t), 4e-3);  // two hops of 2 ms
+  EXPECT_DOUBLE_EQ(t.finish, 4e-3);  // two hops of 2 ms
   EXPECT_EQ(fabric.total_transfers(), 2u);    // one per hop
   EXPECT_EQ(fabric.total_bytes(), 2'000'000u);
 }
 
 TEST(FabricTest, CrossTrafficViaSubmitAtDelaysSend) {
-  // Cross-traffic injected with submit_at occupies the link engine from
-  // t=5ms; a dependent send arriving earlier queues behind it. The fabric
-  // and raw submit_at share the engine, so the oracle is exact.
+  // Cross-traffic released at t=5ms (a dependency on a 5 ms task) occupies
+  // the link engine for 3 ms; a send arriving earlier queues behind it. The
+  // fabric and the raw submit share the engine, so the oracle is exact.
   Topology topo = two_node(1e9, 0.0);
   des::Timeline tl;
   Fabric fabric(topo, &tl);
@@ -198,11 +198,13 @@ TEST(FabricTest, CrossTrafficViaSubmitAtDelaysSend) {
   (void)probe;
   // Occupy the a->b lane from 5 ms for 3 ms via the timeline's own API.
   // Engines registered by the fabric: "link.a>b" is engine index 0.
-  des::TaskId cross = tl.submit_at(des::EngineId{0}, 3e-3, 5e-3, {}, "cross");
-  EXPECT_DOUBLE_EQ(tl.start_time(cross), 5e-3);
+  des::TaskId release = tl.submit(tl.add_engine("release"), 5e-3);
+  des::TaskId cross =
+      tl.submit(des::EngineId{0}, 3e-3, {&release, 1}, "cross");
+  EXPECT_DOUBLE_EQ(cross.start, 5e-3);
   des::TaskId t = fabric.send(0, 1, 1'000'000);  // wants 1 ms, arrives now
-  EXPECT_DOUBLE_EQ(tl.start_time(t), 8e-3);      // behind the cross traffic
-  EXPECT_DOUBLE_EQ(tl.finish_time(t), 9e-3);
+  EXPECT_DOUBLE_EQ(t.start, 8e-3);               // behind the cross traffic
+  EXPECT_DOUBLE_EQ(t.finish, 9e-3);
 }
 
 TEST(FabricTest, ExportsLinkCounters) {

@@ -204,6 +204,28 @@ TEST_F(CudaxTest, KernelLaunchAndStreams) {
   ASSERT_EQ(cudaFree(dptr), cudaError::cudaSuccess);
 }
 
+TEST_F(CudaxTest, DestroyedStreamsAreReused) {
+  // Workers that create and destroy a stream per run must not grow the
+  // device's stream table for as long as the machine lives.
+  for (int i = 0; i < 100; ++i) {
+    cudaStream_t stream;
+    ASSERT_EQ(cudaStreamCreate(&stream), cudaError::cudaSuccess);
+    ASSERT_EQ(launch_kernel(Dim3{1, 1, 1}, Dim3{32, 1, 1}, stream,
+                            [](const ThreadCtx&) {}),
+              cudaError::cudaSuccess);
+    ASSERT_EQ(cudaStreamDestroy(stream), cudaError::cudaSuccess);
+    EXPECT_EQ(cudaStreamDestroy(stream),
+              cudaError::cudaErrorInvalidResourceHandle);
+  }
+  EXPECT_EQ(machine_->device(0).stream_count(), 2u);  // default + reused
+  cudaStream_t reused;
+  ASSERT_EQ(cudaStreamCreate(&reused), cudaError::cudaSuccess);
+  double t = -1;
+  ASSERT_EQ(cudaStreamSynchronize(reused, &t), cudaError::cudaSuccess);
+  EXPECT_EQ(t, 0.0);  // a reused stream starts with no work
+  EXPECT_EQ(cudaStreamDestroy(cudaStream_t{}), cudaError::cudaSuccess);
+}
+
 TEST_F(CudaxTest, DefaultStreamHandleUsesCurrentDevice) {
   ASSERT_EQ(cudaSetDevice(1), cudaError::cudaSuccess);
   ASSERT_EQ(launch_kernel(Dim3{1, 1, 1}, Dim3{32, 1, 1}, cudaStream_t{},

@@ -2,10 +2,23 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <vector>
 
+#include "common/alloc_hook.hpp"
 #include "des/timeline.hpp"
 #include "des/trace_export.hpp"
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define HS_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define HS_TEST_SANITIZED 1
+#endif
+#endif
+#ifndef HS_TEST_SANITIZED
+#define HS_TEST_SANITIZED 0
+#endif
 
 namespace hs::des {
 namespace {
@@ -15,10 +28,10 @@ TEST(TimelineTest, SerialEngineRunsFifo) {
   EngineId e = tl.add_engine("e");
   TaskId a = tl.submit(e, 2.0);
   TaskId b = tl.submit(e, 3.0);
-  EXPECT_DOUBLE_EQ(tl.start_time(a), 0.0);
-  EXPECT_DOUBLE_EQ(tl.finish_time(a), 2.0);
-  EXPECT_DOUBLE_EQ(tl.start_time(b), 2.0);
-  EXPECT_DOUBLE_EQ(tl.finish_time(b), 5.0);
+  EXPECT_DOUBLE_EQ(a.start, 0.0);
+  EXPECT_DOUBLE_EQ(a.finish, 2.0);
+  EXPECT_DOUBLE_EQ(b.start, 2.0);
+  EXPECT_DOUBLE_EQ(b.finish, 5.0);
   EXPECT_DOUBLE_EQ(tl.makespan(), 5.0);
 }
 
@@ -28,7 +41,7 @@ TEST(TimelineTest, IndependentEnginesOverlap) {
   EngineId e2 = tl.add_engine("e2");
   tl.submit(e1, 5.0);
   TaskId b = tl.submit(e2, 3.0);
-  EXPECT_DOUBLE_EQ(tl.start_time(b), 0.0);
+  EXPECT_DOUBLE_EQ(b.start, 0.0);
   EXPECT_DOUBLE_EQ(tl.makespan(), 5.0);
 }
 
@@ -39,8 +52,8 @@ TEST(TimelineTest, DependencyDelaysStart) {
   TaskId a = tl.submit(e1, 4.0);
   TaskId deps[] = {a};
   TaskId b = tl.submit(e2, 1.0, deps);
-  EXPECT_DOUBLE_EQ(tl.start_time(b), 4.0);
-  EXPECT_DOUBLE_EQ(tl.finish_time(b), 5.0);
+  EXPECT_DOUBLE_EQ(b.start, 4.0);
+  EXPECT_DOUBLE_EQ(b.finish, 5.0);
 }
 
 TEST(TimelineTest, StartIsMaxOfEngineAndDeps) {
@@ -51,14 +64,17 @@ TEST(TimelineTest, StartIsMaxOfEngineAndDeps) {
   tl.submit(e2, 10.0);                  // e2 busy until 10
   TaskId deps[] = {dep};
   TaskId b = tl.submit(e2, 1.0, deps);  // engine limited, not dep limited
-  EXPECT_DOUBLE_EQ(tl.start_time(b), 10.0);
+  EXPECT_DOUBLE_EQ(b.start, 10.0);
 }
 
 TEST(TimelineTest, SubmitAfterInvalidDepIsNoDep) {
   Timeline tl;
   EngineId e = tl.add_engine("e");
-  TaskId t = tl.submit_after(e, 1.0, TaskId{});
-  EXPECT_DOUBLE_EQ(tl.start_time(t), 0.0);
+  TaskId none[] = {TaskId{}};
+  TaskId t = tl.submit(e, 1.0, none);
+  EXPECT_FALSE(none[0].valid());
+  EXPECT_TRUE(t.valid());
+  EXPECT_DOUBLE_EQ(t.start, 0.0);
 }
 
 TEST(TimelineTest, SubmitAfterChains) {
@@ -66,37 +82,9 @@ TEST(TimelineTest, SubmitAfterChains) {
   EngineId e1 = tl.add_engine("e1");
   EngineId e2 = tl.add_engine("e2");
   TaskId a = tl.submit(e1, 1.0);
-  TaskId b = tl.submit_after(e2, 1.0, a);
-  TaskId c = tl.submit_after(e1, 1.0, b);
-  EXPECT_DOUBLE_EQ(tl.finish_time(c), 3.0);
-}
-
-TEST(TimelineTest, SubmitAtHonorsEarliestStart) {
-  Timeline tl;
-  EngineId e = tl.add_engine("e");
-  TaskId t = tl.submit_at(e, 2.0, 5.0);  // idle engine, release at t=5
-  EXPECT_DOUBLE_EQ(tl.start_time(t), 5.0);
-  EXPECT_DOUBLE_EQ(tl.finish_time(t), 7.0);
-}
-
-TEST(TimelineTest, SubmitAtQueuesBehindBusyEngine) {
-  Timeline tl;
-  EngineId e = tl.add_engine("e");
-  tl.submit(e, 10.0);                    // engine busy until 10
-  TaskId t = tl.submit_at(e, 1.0, 5.0);  // release time is not a preemption
-  EXPECT_DOUBLE_EQ(tl.start_time(t), 10.0);
-}
-
-TEST(TimelineTest, SubmitAtStartIsMaxOfAllThreeBounds) {
-  Timeline tl;
-  EngineId e1 = tl.add_engine("e1");
-  EngineId e2 = tl.add_engine("e2");
-  TaskId dep = tl.submit(e1, 6.0);  // dep ready at 6
-  tl.submit(e2, 2.0);               // engine free at 2
-  TaskId deps[] = {dep};
-  TaskId t = tl.submit_at(e2, 1.0, 4.0, deps);  // dep bound dominates
-  EXPECT_DOUBLE_EQ(tl.start_time(t), 6.0);
-  EXPECT_DOUBLE_EQ(tl.finish_time(t), 7.0);
+  TaskId b = tl.submit(e2, 1.0, {&a, 1});
+  TaskId c = tl.submit(e1, 1.0, {&b, 1});
+  EXPECT_DOUBLE_EQ(c.finish, 3.0);
 }
 
 TEST(TimelineTest, JoinWaitsForAllAndIsFree) {
@@ -107,18 +95,24 @@ TEST(TimelineTest, JoinWaitsForAllAndIsFree) {
   TaskId b = tl.submit(e2, 7.0);
   TaskId deps[] = {a, b};
   TaskId j = tl.join(deps);
-  EXPECT_DOUBLE_EQ(tl.finish_time(j), 7.0);
+  EXPECT_DOUBLE_EQ(j.finish, 7.0);
   // Unrelated join later should not be serialized behind the first one.
   TaskId deps2[] = {a};
   TaskId j2 = tl.join(deps2);
-  EXPECT_DOUBLE_EQ(tl.finish_time(j2), 2.0);
+  EXPECT_DOUBLE_EQ(j2.finish, 2.0);
+  // A join submits nothing: with no task to wait for it is no task.
+  TaskId none[] = {TaskId{}, TaskId{}};
+  EXPECT_FALSE(tl.join(none).valid());
+  EXPECT_FALSE(tl.join({}).valid());
+  EXPECT_EQ(tl.engine_stats(e1).tasks + tl.engine_stats(e2).tasks, 2u);
+  EXPECT_EQ(tl.engine_count(), 2u);  // no join engine
 }
 
 TEST(TimelineTest, ZeroDurationTasksAllowed) {
   Timeline tl;
   EngineId e = tl.add_engine("e");
   TaskId t = tl.submit(e, 0.0);
-  EXPECT_DOUBLE_EQ(tl.finish_time(t), tl.start_time(t));
+  EXPECT_DOUBLE_EQ(t.finish, t.start);
 }
 
 TEST(TimelineTest, EngineStatsAccumulate) {
@@ -130,16 +124,6 @@ TEST(TimelineTest, EngineStatsAccumulate) {
   EXPECT_EQ(s.name, "compute");
   EXPECT_DOUBLE_EQ(s.busy, 3.5);
   EXPECT_EQ(s.tasks, 2u);
-  EXPECT_DOUBLE_EQ(tl.utilization(e), 1.0);
-}
-
-TEST(TimelineTest, UtilizationReflectsIdleTime) {
-  Timeline tl;
-  EngineId e1 = tl.add_engine("e1");
-  EngineId e2 = tl.add_engine("e2");
-  tl.submit(e1, 8.0);
-  tl.submit(e2, 2.0);
-  EXPECT_DOUBLE_EQ(tl.utilization(e2), 0.25);
 }
 
 TEST(TimelineTest, PipelinedCopyComputeOverlapShape) {
@@ -168,12 +152,30 @@ TEST(TimelineTest, ManyTasksStressAndMonotonicity) {
   double last_finish = 0;
   for (int i = 0; i < 10000; ++i) {
     EngineId e = (i % 2) ? e1 : e2;
-    prev = tl.submit_after(e, 0.001, prev);
-    EXPECT_GE(tl.finish_time(prev), last_finish);
-    last_finish = tl.finish_time(prev);
+    prev = tl.submit(e, 0.001, {&prev, 1});
+    EXPECT_GE(prev.finish, last_finish);
+    last_finish = prev.finish;
   }
   EXPECT_NEAR(tl.makespan(), 10.0, 1e-6);
-  EXPECT_EQ(tl.task_count(), 10000u);
+}
+
+TEST(TimelineTest, SubmitAndJoinDoNotAllocatePerTask) {
+  if (HS_TEST_SANITIZED) {
+    GTEST_SKIP() << "allocator interposed by sanitizer";
+  }
+  Timeline tl;
+  EngineId e1 = tl.add_engine("a");
+  EngineId e2 = tl.add_engine("b");
+  TaskId prev{};
+  const std::uint64_t before = heap_alloc_count();
+  for (int i = 0; i < 100000; ++i) {
+    TaskId t = tl.submit((i % 2) ? e1 : e2, 0.001, {&prev, 1});
+    TaskId both[] = {prev, t};
+    prev = Timeline::join(both);
+  }
+  EXPECT_EQ(heap_alloc_count() - before, 0u)
+      << "the timeline must keep no per-task state while not recording";
+  EXPECT_NEAR(tl.makespan(), 100.0, 1e-6);
 }
 
 TEST(TraceExportTest, RequiresRecording) {
@@ -216,6 +218,28 @@ TEST(TraceExportTest, WritesFile) {
   std::fclose(f);
   EXPECT_EQ(std::string(buf).substr(0, 2), "{\"");
   std::remove(path.c_str());
+}
+
+TEST(TraceExportTest, TimestampsKeepNanosecondResolution) {
+  // A default ostream keeps 6 significant digits: this start would export
+  // as 1.23457e+07 us, a 10 us resolution coarser than the span itself.
+  Timeline tl;
+  tl.set_recording(true);
+  EngineId e = tl.add_engine("e");
+  tl.submit(e, 12.3456789);
+  tl.submit(e, 2.5e-6, {}, "late");  // starts at 12.3456789 s
+  auto json = chrome_trace_json(tl);
+  ASSERT_TRUE(json.ok());
+  const std::string& j = json.value();
+  const std::string key = "\"name\":\"late\",\"ts\":";
+  const std::size_t at = j.find(key);
+  ASSERT_NE(at, std::string::npos) << j;
+  const std::string want = "12345678.900,\"dur\":2.500}";
+  EXPECT_EQ(j.substr(at + key.size(), want.size()), want);
+  const double ts_us = std::strtod(j.c_str() + at + key.size(), nullptr);
+  EXPECT_NEAR(ts_us * 1e3, 12.3456789e9, 1.0);  // within 1 ns
+  EXPECT_EQ(j.find("e+"), std::string::npos);   // no exponent form
+  EXPECT_EQ(j.find("e-"), std::string::npos);
 }
 
 TEST(TraceExportTest, UnlabeledTasksGetDefaultName) {

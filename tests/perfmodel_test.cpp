@@ -58,7 +58,7 @@ TEST(ModeledHostTest, StreamWaitHostBridgesToDevice) {
                       dev.default_stream(), [](const gpusim::ThreadCtx&) {});
   ASSERT_TRUE(k.ok());
   // The kernel cannot start before the host issued it at t=0.5.
-  EXPECT_GE(machine->finish_time(k.value().task), 0.5);
+  EXPECT_GE(k.value().task.finish, 0.5);
 }
 
 TEST(HostProfileTest, PaperTestbedDefaults) {

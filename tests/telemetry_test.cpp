@@ -509,8 +509,8 @@ TEST(SpanRecorderTest, RingWrapCountsDropped) {
   auto json = rec.chrome_trace_json();
   ASSERT_TRUE(json.ok());
   // Only the newest 8 spans survive; the oldest surviving starts at 120 us.
-  EXPECT_EQ(json.value().find("\"ts\":110,"), std::string::npos);
-  EXPECT_NE(json.value().find("\"ts\":120,"), std::string::npos);
+  EXPECT_EQ(json.value().find("\"ts\":110.000,"), std::string::npos);
+  EXPECT_NE(json.value().find("\"ts\":120.000,"), std::string::npos);
 }
 
 TEST(SpanRecorderTest, ResetDropsSpansAndReEpochs) {
