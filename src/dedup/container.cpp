@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <optional>
+#include <stdexcept>
 
 #include "flow/adapters.hpp"
 #include "flow/pipeline.hpp"
@@ -131,6 +132,150 @@ Status check_lzss_len(std::uint32_t lzss_len, std::uint32_t raw_len) {
   return OkStatus();
 }
 
+/// One parsed block record.
+struct ParsedBlock {
+  bool duplicate = false;
+  bool entropy = false;
+  std::uint32_t raw_len = 0;
+  std::uint64_t ref = 0;
+  std::span<const std::uint8_t> payload;  // view into the archive
+};
+
+struct ParsedBatch {
+  std::uint32_t original_len = 0;
+  std::vector<ParsedBlock> blocks;
+  // Filled by decode_batch: decoded payloads of unique blocks, in block
+  // order (empty vectors for duplicates).
+  std::vector<std::vector<std::uint8_t>> decoded;
+};
+
+/// Reads batch `b`'s header and block records. Unique blocks are bounded
+/// by the batch before decode_batch allocates from their lengths.
+Result<ParsedBatch> parse_batch(Reader& r, std::uint64_t b) {
+  ParsedBatch batch;
+  std::uint64_t index = 0;
+  std::uint32_t block_count = 0;
+  if (!r.u64(index) || !r.u32(batch.original_len) || !r.u32(block_count)) {
+    return DataLoss("truncated batch header");
+  }
+  if (index != b) return DataLoss("batch indices out of order");
+  std::uint64_t claimed = 0;  // unique raw bytes declared so far
+  for (std::uint32_t k = 0; k < block_count; ++k) {
+    std::uint8_t tag = 0;
+    if (!r.u8(tag)) return DataLoss("truncated block tag");
+    ParsedBlock block;
+    if (tag == 1) {
+      block.duplicate = true;
+      if (!r.u64(block.ref)) return DataLoss("truncated duplicate reference");
+    } else if (tag == 0 || tag == 2) {
+      block.entropy = tag == 2;
+      std::uint32_t comp_len = 0;
+      if (!r.u32(block.raw_len) || !r.u32(comp_len) ||
+          !r.bytes(comp_len, block.payload)) {
+        return DataLoss("truncated unique block");
+      }
+      HS_RETURN_IF_ERROR(
+          check_block_lengths(block.raw_len, claimed, batch.original_len));
+      claimed += block.raw_len;
+    } else {
+      return DataLoss("unknown block tag");
+    }
+    batch.blocks.push_back(block);
+  }
+  return batch;
+}
+
+/// Decodes the batch's unique payloads into `batch.decoded`.
+Status decode_batch(ParsedBatch& batch, const kernels::LzssParams& lzss) {
+  batch.decoded.resize(batch.blocks.size());
+  for (std::size_t k = 0; k < batch.blocks.size(); ++k) {
+    const ParsedBlock& block = batch.blocks[k];
+    if (block.duplicate) continue;
+    std::span<const std::uint8_t> payload = block.payload;
+    if (block.entropy) {
+      // Entropy-coded block: u32 lzss_len | huffman(lzss(block)).
+      if (payload.size() < 4) return DataLoss("truncated codec prefix");
+      std::uint32_t lzss_len = 0;
+      for (int i = 0; i < 4; ++i) {
+        lzss_len |= static_cast<std::uint32_t>(payload[i]) << (8 * i);
+      }
+      HS_RETURN_IF_ERROR(check_lzss_len(lzss_len, block.raw_len));
+      HS_ASSIGN_OR_RETURN(
+          auto lz, kernels::huffman_decode(payload.subspan(4), lzss_len));
+      HS_ASSIGN_OR_RETURN(batch.decoded[k],
+                          kernels::lzss_decode(lz, block.raw_len, lzss));
+    } else {
+      HS_ASSIGN_OR_RETURN(batch.decoded[k],
+                          kernels::lzss_decode(payload, block.raw_len, lzss));
+    }
+  }
+  return OkStatus();
+}
+
+/// An archive's output as its decoded batches are appended in order.
+struct Assembly {
+  explicit Assembly(std::uint64_t original_size) {
+    out.reserve(std::min<std::uint64_t>(original_size, kMaxPrealloc));
+  }
+  std::vector<std::uint8_t> out;
+  std::vector<std::pair<std::size_t, std::uint32_t>> unique_blocks;  // (pos,len)
+};
+
+/// Appends one decoded batch, resolving duplicate references against the
+/// unique blocks before them. Every block is bounded by its batch before
+/// the output grows, so a reference-heavy batch cannot inflate it.
+Status assemble_batch(const ParsedBatch& batch, Assembly& a) {
+  std::uint64_t decoded = 0;
+  for (std::size_t k = 0; k < batch.blocks.size(); ++k) {
+    const ParsedBlock& block = batch.blocks[k];
+    if (block.duplicate) {
+      if (block.ref >= a.unique_blocks.size()) {
+        return DataLoss("duplicate references a future block (id " +
+                        std::to_string(block.ref) + ")");
+      }
+      auto [pos, len] = a.unique_blocks[block.ref];
+      HS_RETURN_IF_ERROR(check_block_lengths(len, decoded, batch.original_len));
+      // Self-copy from already-decoded output. Grow first, then copy by
+      // index: a self-range insert may reallocate mid-insert (the reserve
+      // is capped at kMaxPrealloc) and invalidate its own source iterators.
+      const std::size_t old_size = a.out.size();
+      a.out.resize(old_size + len);
+      std::copy(a.out.begin() + static_cast<long>(pos),
+                a.out.begin() + static_cast<long>(pos + len),
+                a.out.begin() + static_cast<long>(old_size));
+      decoded += len;
+    } else {
+      HS_RETURN_IF_ERROR(
+          check_block_lengths(block.raw_len, decoded, batch.original_len));
+      a.unique_blocks.emplace_back(a.out.size(), block.raw_len);
+      a.out.insert(a.out.end(), batch.decoded[k].begin(),
+                   batch.decoded[k].end());
+      decoded += block.raw_len;
+    }
+  }
+  if (decoded != batch.original_len) {
+    return DataLoss("batch decoded size mismatch");
+  }
+  return OkStatus();
+}
+
+/// Checks the assembled output against the header's size and the
+/// archive's SHA-1 trailer.
+Result<std::vector<std::uint8_t>> verify_output(Reader& r, const Header& hdr,
+                                                std::vector<std::uint8_t> out) {
+  if (out.size() != hdr.original_size) {
+    return DataLoss("archive decoded size mismatch");
+  }
+  std::span<const std::uint8_t> trailer;
+  if (!r.bytes(20, trailer)) return DataLoss("missing integrity trailer");
+  kernels::Sha1Digest expect{};
+  std::memcpy(expect.data(), trailer.data(), 20);
+  if (kernels::Sha1::hash(out) != expect) {
+    return DataLoss("integrity check failed: SHA-1 mismatch");
+  }
+  return out;
+}
+
 }  // namespace
 
 ArchiveWriter::ArchiveWriter(const DedupConfig& config) : config_(config) {
@@ -192,88 +337,13 @@ Result<std::vector<std::uint8_t>> extract(
     std::span<const std::uint8_t> archive) {
   Reader r(archive);
   HS_ASSIGN_OR_RETURN(const Header hdr, read_header(r));
-
-  std::vector<std::uint8_t> out;
-  out.reserve(std::min<std::uint64_t>(hdr.original_size, kMaxPrealloc));
-  std::vector<std::pair<std::size_t, std::uint32_t>> unique_blocks;  // (pos,len)
-
+  Assembly a(hdr.original_size);
   for (std::uint64_t b = 0; b < hdr.batch_count; ++b) {
-    std::uint64_t index = 0;
-    std::uint32_t original_len = 0, block_count = 0;
-    if (!r.u64(index) || !r.u32(original_len) || !r.u32(block_count)) {
-      return DataLoss("truncated batch header");
-    }
-    if (index != b) return DataLoss("batch indices out of order");
-    std::uint64_t decoded = 0;
-    for (std::uint32_t k = 0; k < block_count; ++k) {
-      std::uint8_t tag = 0;
-      if (!r.u8(tag)) return DataLoss("truncated block tag");
-      if (tag == 0 || tag == 2) {
-        std::uint32_t raw_len = 0, comp_len = 0;
-        std::span<const std::uint8_t> payload;
-        if (!r.u32(raw_len) || !r.u32(comp_len) || !r.bytes(comp_len, payload)) {
-          return DataLoss("truncated unique block");
-        }
-        HS_RETURN_IF_ERROR(check_block_lengths(raw_len, decoded, original_len));
-        std::vector<std::uint8_t> block;
-        if (tag == 2) {
-          // Entropy-coded block: u32 lzss_len | huffman(lzss(block)).
-          if (payload.size() < 4) return DataLoss("truncated codec prefix");
-          std::uint32_t lzss_len = 0;
-          for (int i = 0; i < 4; ++i) {
-            lzss_len |= static_cast<std::uint32_t>(payload[i]) << (8 * i);
-          }
-          HS_RETURN_IF_ERROR(check_lzss_len(lzss_len, raw_len));
-          HS_ASSIGN_OR_RETURN(
-              auto lz, kernels::huffman_decode(payload.subspan(4), lzss_len));
-          HS_ASSIGN_OR_RETURN(block,
-                              kernels::lzss_decode(lz, raw_len, hdr.lzss));
-        } else {
-          HS_ASSIGN_OR_RETURN(
-              block, kernels::lzss_decode(payload, raw_len, hdr.lzss));
-        }
-        unique_blocks.emplace_back(out.size(), raw_len);
-        out.insert(out.end(), block.begin(), block.end());
-        decoded += raw_len;
-      } else if (tag == 1) {
-        std::uint64_t ref = 0;
-        if (!r.u64(ref)) return DataLoss("truncated duplicate reference");
-        if (ref >= unique_blocks.size()) {
-          return DataLoss("duplicate references a future block (id " +
-                          std::to_string(ref) + ")");
-        }
-        auto [pos, len] = unique_blocks[ref];
-        HS_RETURN_IF_ERROR(check_block_lengths(len, decoded, original_len));
-        // Self-copy from already-decoded output. Grow first, then copy by
-        // index: a self-range insert may reallocate mid-insert (the reserve
-        // above is capped at kMaxPrealloc) and invalidate its own source
-        // iterators.
-        const std::size_t old_size = out.size();
-        out.resize(old_size + len);
-        std::copy(out.begin() + static_cast<long>(pos),
-                  out.begin() + static_cast<long>(pos + len),
-                  out.begin() + static_cast<long>(old_size));
-        decoded += len;
-      } else {
-        return DataLoss("unknown block tag");
-      }
-    }
-    if (decoded != original_len) {
-      return DataLoss("batch decoded size mismatch");
-    }
+    HS_ASSIGN_OR_RETURN(ParsedBatch batch, parse_batch(r, b));
+    HS_RETURN_IF_ERROR(decode_batch(batch, hdr.lzss));
+    HS_RETURN_IF_ERROR(assemble_batch(batch, a));
   }
-
-  if (out.size() != hdr.original_size) {
-    return DataLoss("archive decoded size mismatch");
-  }
-  std::span<const std::uint8_t> trailer;
-  if (!r.bytes(20, trailer)) return DataLoss("missing integrity trailer");
-  kernels::Sha1Digest expect{};
-  std::memcpy(expect.data(), trailer.data(), 20);
-  if (kernels::Sha1::hash(out) != expect) {
-    return DataLoss("integrity check failed: SHA-1 mismatch");
-  }
-  return out;
+  return verify_output(r, hdr, std::move(a.out));
 }
 
 Result<ArchiveInfo> inspect(std::span<const std::uint8_t> archive) {
@@ -313,178 +383,51 @@ Result<ArchiveInfo> inspect(std::span<const std::uint8_t> archive) {
   return info;
 }
 
-namespace {
-
-/// One parsed block record for the parallel extractor.
-struct ParsedBlock {
-  bool duplicate = false;
-  bool entropy = false;
-  std::uint32_t raw_len = 0;
-  std::uint64_t ref = 0;
-  std::span<const std::uint8_t> payload;  // view into the archive
-};
-
-struct ParsedBatch {
-  std::uint64_t index = 0;
-  std::uint32_t original_len = 0;
-  std::vector<ParsedBlock> blocks;
-  // Filled by the decode farm: decoded payloads of unique blocks, in
-  // block order (empty vectors for duplicates).
-  std::vector<std::vector<std::uint8_t>> decoded;
-};
-
-}  // namespace
-
 Result<std::vector<std::uint8_t>> extract_parallel(
     std::span<const std::uint8_t> archive, int replicas) {
   Reader r(archive);
   HS_ASSIGN_OR_RETURN(const Header header, read_header(r));
-
-  std::vector<std::uint8_t> out;
-  out.reserve(std::min<std::uint64_t>(header.original_size, kMaxPrealloc));
-  std::vector<std::pair<std::size_t, std::uint32_t>> unique_blocks;
-  Status pipeline_error;
+  Assembly a(header.original_size);
+  // Each stage reports corruption by throwing; the pipeline surfaces it.
+  const auto check = [](const Status& s) {
+    if (!s.ok()) throw std::runtime_error(s.message());
+  };
 
   flow::Pipeline pipe;
   // Source: parse one batch per service call (serial, cheap).
   pipe.add_stage(
       flow::make_source<ParsedBatch>(
-          [&r, &header, b = std::uint64_t{0}]() mutable
+          [&r, &header, &check, b = std::uint64_t{0}]() mutable
               -> std::optional<ParsedBatch> {
             if (b >= header.batch_count) return std::nullopt;
-            ParsedBatch batch;
-            std::uint32_t block_count = 0;
-            if (!r.u64(batch.index) || !r.u32(batch.original_len) ||
-                !r.u32(block_count) || batch.index != b) {
-              throw std::runtime_error("truncated or misordered batch");
-            }
-            ++b;
-            std::uint64_t claimed = 0;  // unique raw bytes declared so far
-            for (std::uint32_t k = 0; k < block_count; ++k) {
-              std::uint8_t tag = 0;
-              if (!r.u8(tag)) throw std::runtime_error("truncated block tag");
-              ParsedBlock block;
-              if (tag == 1) {
-                block.duplicate = true;
-                if (!r.u64(block.ref)) {
-                  throw std::runtime_error("truncated duplicate ref");
-                }
-              } else if (tag == 0 || tag == 2) {
-                block.entropy = tag == 2;
-                std::uint32_t comp_len = 0;
-                if (!r.u32(block.raw_len) || !r.u32(comp_len) ||
-                    !r.bytes(comp_len, block.payload)) {
-                  throw std::runtime_error("truncated unique block");
-                }
-                // Bound the decode farm's allocations before handing the
-                // untrusted length over.
-                claimed += block.raw_len;
-                if (block.raw_len > batch.original_len ||
-                    claimed > batch.original_len) {
-                  throw std::runtime_error(
-                      "unique block exceeds its batch size");
-                }
-              } else {
-                throw std::runtime_error("unknown block tag");
-              }
-              batch.blocks.push_back(block);
-            }
-            return batch;
+            Result<ParsedBatch> batch = parse_batch(r, b++);
+            check(batch.status());
+            return std::move(batch).value();
           }),
       "parse");
   // Farm: decompress the unique payloads of each batch.
   pipe.add_farm(
-      [&header] {
+      [&header, &check] {
         return flow::make_stage<ParsedBatch, ParsedBatch>(
-            [&header](ParsedBatch batch) {
-              batch.decoded.resize(batch.blocks.size());
-              for (std::size_t k = 0; k < batch.blocks.size(); ++k) {
-                const ParsedBlock& block = batch.blocks[k];
-                if (block.duplicate) continue;
-                std::span<const std::uint8_t> payload = block.payload;
-                Result<std::vector<std::uint8_t>> decoded =
-                    DataLoss("unreachable");
-                if (block.entropy) {
-                  if (payload.size() < 4) {
-                    throw std::runtime_error("truncated codec prefix");
-                  }
-                  std::uint32_t lzss_len = 0;
-                  for (int i = 0; i < 4; ++i) {
-                    lzss_len |= static_cast<std::uint32_t>(payload[i])
-                                << (8 * i);
-                  }
-                  if (Status s = check_lzss_len(lzss_len, block.raw_len);
-                      !s.ok()) {
-                    throw std::runtime_error(s.ToString());
-                  }
-                  auto lz =
-                      kernels::huffman_decode(payload.subspan(4), lzss_len);
-                  if (!lz.ok()) throw std::runtime_error(lz.status().ToString());
-                  decoded = kernels::lzss_decode(lz.value(), block.raw_len,
-                                                 header.lzss);
-                } else {
-                  decoded = kernels::lzss_decode(payload, block.raw_len,
-                                                 header.lzss);
-                }
-                if (!decoded.ok()) {
-                  throw std::runtime_error(decoded.status().ToString());
-                }
-                batch.decoded[k] = std::move(decoded).value();
-              }
+            [&header, &check](ParsedBatch batch) {
+              check(decode_batch(batch, header.lzss));
               return batch;
             });
       },
       flow::FarmOptions{.replicas = std::max(1, replicas), .ordered = true},
       "decode");
   // Sink: assemble in order, resolving duplicate references.
-  pipe.add_stage(
-      flow::make_sink<ParsedBatch>([&](ParsedBatch batch) {
-        std::uint64_t decoded_len = 0;
-        for (std::size_t k = 0; k < batch.blocks.size(); ++k) {
-          const ParsedBlock& block = batch.blocks[k];
-          if (block.duplicate) {
-            if (block.ref >= unique_blocks.size()) {
-              throw std::runtime_error("duplicate references a future block");
-            }
-            auto [pos, len] = unique_blocks[block.ref];
-            // Resize-then-copy: a self-range insert could reallocate and
-            // invalidate its source iterators (reserve is capped).
-            const std::size_t old_size = out.size();
-            out.resize(old_size + len);
-            std::copy(out.begin() + static_cast<long>(pos),
-                      out.begin() + static_cast<long>(pos + len),
-                      out.begin() + static_cast<long>(old_size));
-            decoded_len += len;
-          } else {
-            unique_blocks.emplace_back(out.size(), block.raw_len);
-            out.insert(out.end(), batch.decoded[k].begin(),
-                       batch.decoded[k].end());
-            decoded_len += block.raw_len;
-          }
-        }
-        if (decoded_len != batch.original_len) {
-          throw std::runtime_error("batch decoded size mismatch");
-        }
-      }),
-      "assemble");
+  pipe.add_stage(flow::make_sink<ParsedBatch>([&a, &check](ParsedBatch batch) {
+                   check(assemble_batch(batch, a));
+                 }),
+                 "assemble");
 
   if (Status s = pipe.run_and_wait(); !s.ok()) {
     // Stage exceptions surface as INTERNAL; re-tag as data loss (they all
     // describe archive corruption).
     return DataLoss(s.message());
   }
-
-  if (out.size() != header.original_size) {
-    return DataLoss("archive decoded size mismatch");
-  }
-  std::span<const std::uint8_t> trailer;
-  if (!r.bytes(20, trailer)) return DataLoss("missing integrity trailer");
-  kernels::Sha1Digest expect{};
-  std::memcpy(expect.data(), trailer.data(), 20);
-  if (kernels::Sha1::hash(out) != expect) {
-    return DataLoss("integrity check failed: SHA-1 mismatch");
-  }
-  return out;
+  return verify_output(r, header, std::move(a.out));
 }
 
 }  // namespace hs::dedup

@@ -1,5 +1,6 @@
 #include "lzssapp/lzss_stream.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <optional>
 
@@ -12,6 +13,10 @@ namespace hs::lzssapp {
 namespace {
 
 constexpr char kMagic[8] = {'H', 'S', 'L', 'Z', 'S', 'S', '0', '1'};
+
+/// Cap on the up-front reserve from the header's untrusted original size;
+/// larger outputs still decode (the vector grows on demand).
+constexpr std::size_t kMaxPrealloc = std::size_t{64} << 20;
 
 struct Block {
   std::uint64_t index = 0;
@@ -268,7 +273,7 @@ Result<std::vector<std::uint8_t>> decompress(
   if (!hdr.ok()) return hdr.status();
 
   std::vector<std::uint8_t> out;
-  out.reserve(hdr.value().original_size);
+  out.reserve(std::min<std::uint64_t>(hdr.value().original_size, kMaxPrealloc));
   for (std::uint64_t b = 0; b < hdr.value().block_count; ++b) {
     std::uint32_t raw_len = 0, comp_len = 0;
     std::span<const std::uint8_t> payload;

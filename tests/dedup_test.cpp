@@ -14,6 +14,7 @@
 #include "dedup/modeled.hpp"
 #include "dedup/pipelines.hpp"
 #include "dedup/stages.hpp"
+#include "kernels/lzss.hpp"
 
 namespace hs::dedup {
 namespace {
@@ -235,6 +236,54 @@ TEST(ContainerTest, ExtractBeyondPreallocCapStaysValid) {
   auto par = extract_parallel(archive.value(), 4);
   ASSERT_TRUE(par.ok()) << par.status().ToString();
   EXPECT_TRUE(par.value() == input);
+}
+
+// A batch that declares 1 byte but holds references to an earlier 64 KiB
+// block must fail before the output grows by a single reference: each
+// reference is bounded by its batch in extract() and in extract_parallel()'s
+// assemble sink alike.
+TEST(ContainerTest, DuplicateReferencesAreBoundedByTheirBatch) {
+  const std::vector<std::uint8_t> block = test_input(64 * 1024);
+  const kernels::LzssParams lzss;
+  const std::vector<std::uint8_t> payload = kernels::lzss_encode(block, lzss);
+  const auto len = static_cast<std::uint32_t>(block.size());
+  std::vector<std::uint8_t> archive;
+  auto put = [&archive](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      archive.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  };
+  for (char c : std::string_view("HSDEDUP1")) archive.push_back(c);
+  put(1, 4);             // version
+  put(0, 4);             // codec: LZSS
+  put(len + 1, 8);       // original size
+  put(2, 8);             // batch count
+  put(lzss.window_size, 4);
+  put(lzss.min_match, 4);
+  put(0, 8);             // batch 0: the unique block
+  put(len, 4);
+  put(1, 4);
+  put(0, 1);
+  put(len, 4);
+  put(payload.size(), 4);
+  archive.insert(archive.end(), payload.begin(), payload.end());
+  put(1, 8);             // batch 1: declares 1 byte, holds 4 references
+  put(1, 4);
+  put(4, 4);
+  for (int k = 0; k < 4; ++k) {
+    put(1, 1);
+    put(0, 8);
+  }
+  archive.insert(archive.end(), 20, 0);  // trailer, never reached
+
+  auto expect_bounded = [](const Result<std::vector<std::uint8_t>>& r) {
+    EXPECT_EQ(r.status().code(), ErrorCode::kDataLoss);
+    EXPECT_NE(r.status().message().find("unique block exceeds its batch size"),
+              std::string::npos)
+        << r.status().ToString();
+  };
+  expect_bounded(extract(archive));
+  expect_bounded(extract_parallel(archive, 2));
 }
 
 TEST(ContainerTest, InspectCountsBlocks) {

@@ -95,6 +95,23 @@ TEST(LzssStreamTest, CorruptionDetected) {
   }
 }
 
+TEST(LzssStreamTest, UntrustedOriginalSizeIsNotReserved) {
+  // A 56-byte container whose header declares 2^62 original bytes must be
+  // rejected as corrupt, not reserved (std::bad_alloc).
+  auto archive = compress_sequential({}, test_config());
+  ASSERT_TRUE(archive.ok());
+  std::vector<std::uint8_t> bad = archive.value();
+  ASSERT_EQ(bad.size(), 56u);
+  constexpr std::size_t kOriginalSizeAt = 8 + 4 + 4 + 4;
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 62;
+  for (std::size_t i = 0; i < 8; ++i) {
+    bad[kOriginalSizeAt + i] = static_cast<std::uint8_t>(kHuge >> (8 * i));
+  }
+  ErrorCode code = ErrorCode::kOk;
+  EXPECT_NO_THROW(code = decompress(bad).status().code());
+  EXPECT_EQ(code, ErrorCode::kDataLoss);
+}
+
 TEST(LzssStreamTest, EmptyInput) {
   auto archive = compress_sequential({}, test_config());
   ASSERT_TRUE(archive.ok());
