@@ -17,9 +17,9 @@
 // or an unbounded accepted-job p99. Results land in --json (default
 // BENCH_serve.json); --trace/--metrics capture the usual telemetry.
 //
-// Examples:
+// Examples (each is one command line):
 //   serve_soak --quick
-//   serve_soak --duration=30 --faults=launch.p=0.02,alloc.p=0.01 \
+//   serve_soak --duration=30 --faults=launch.p=0.02,alloc.p=0.01
 //              --sched=adaptive --json=BENCH_serve.json
 #include <algorithm>
 #include <atomic>
