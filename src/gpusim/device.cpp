@@ -83,6 +83,7 @@ Status Device::destroy_stream(StreamId stream) {
       std::ranges::find(free_streams_, stream) != free_streams_.end()) {
     return InvalidArgument("destroy of an unknown or destroyed stream");
   }
+  retired_finish_ = std::max(retired_finish_, stream_last_[stream].finish);
   stream_last_[stream] = des::TaskId{};
   free_streams_.push_back(stream);
   return OkStatus();
@@ -229,7 +230,7 @@ Result<double> Device::sync_stream(StreamId stream) {
 
 double Device::sync_all() {
   std::lock_guard<std::mutex> lock(machine_->mu());
-  double t = 0;
+  double t = retired_finish_;
   for (des::TaskId last : stream_last_) t = std::max(t, last.finish);
   return t;
 }

@@ -105,8 +105,10 @@ class Device {
   StreamId create_stream();
   /// Releases `stream` for a later create_stream (cudaStreamDestroy), so a
   /// machine whose workers create and destroy streams for as long as it
-  /// runs keeps a bounded stream table. Destroying the default stream does
-  /// nothing; an unknown or already destroyed stream is INVALID_ARGUMENT.
+  /// runs keeps a bounded stream table. Work already queued on it still
+  /// counts toward sync_all, as cudaDeviceSynchronize waits for it.
+  /// Destroying the default stream does nothing; an unknown or already
+  /// destroyed stream is INVALID_ARGUMENT.
   Status destroy_stream(StreamId stream);
   [[nodiscard]] std::size_t stream_count() const;
 
@@ -209,6 +211,7 @@ class Device {
 
   std::vector<des::TaskId> stream_last_;  // per-stream chain tail
   std::vector<StreamId> free_streams_;     // destroyed, reused first
+  double retired_finish_ = 0;              // latest finish on destroyed streams
   DeviceCounters counters_;
 
   std::optional<FaultPlan> fault_plan_;

@@ -226,6 +226,30 @@ TEST_F(CudaxTest, DestroyedStreamsAreReused) {
   EXPECT_EQ(cudaStreamDestroy(cudaStream_t{}), cudaError::cudaSuccess);
 }
 
+TEST_F(CudaxTest, DeviceSynchronizeWaitsForDestroyedStreams) {
+  // cudaDeviceSynchronize waits for work queued on a stream that has since
+  // been destroyed, and the stream's reuse does not hide it.
+  cudaStream_t stream;
+  ASSERT_EQ(cudaStreamCreate(&stream), cudaError::cudaSuccess);
+  ASSERT_EQ(launch_kernel(Dim3{64, 1, 1}, Dim3{256, 1, 1}, stream,
+                          [](const ThreadCtx&) {}),
+            cudaError::cudaSuccess);
+  double kernel_finish = 0;
+  ASSERT_EQ(cudaStreamSynchronize(stream, &kernel_finish),
+            cudaError::cudaSuccess);
+  ASSERT_GT(kernel_finish, 0.0);
+  ASSERT_EQ(cudaStreamDestroy(stream), cudaError::cudaSuccess);
+
+  double t = -1;
+  ASSERT_EQ(cudaDeviceSynchronize(&t), cudaError::cudaSuccess);
+  EXPECT_GE(t, kernel_finish);
+  cudaStream_t reused;
+  ASSERT_EQ(cudaStreamCreate(&reused), cudaError::cudaSuccess);
+  ASSERT_EQ(reused.id, stream.id);
+  EXPECT_GE(machine_->device(0).sync_all(), kernel_finish);
+  ASSERT_EQ(cudaStreamDestroy(reused), cudaError::cudaSuccess);
+}
+
 TEST_F(CudaxTest, DefaultStreamHandleUsesCurrentDevice) {
   ASSERT_EQ(cudaSetDevice(1), cudaError::cudaSuccess);
   ASSERT_EQ(launch_kernel(Dim3{1, 1, 1}, Dim3{32, 1, 1}, cudaStream_t{},
