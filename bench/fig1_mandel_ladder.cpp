@@ -31,8 +31,8 @@
 //                          ui.perfetto.dev — and/or a metrics dump: .json
 //                          gets JSON, anything else Prometheus text)
 #include <algorithm>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 
 #include "bench_common.hpp"
 #include "cudax/cudax.hpp"
@@ -213,11 +213,17 @@ int run(int argc, const char** argv) {
   RunResult seq = run_sequential(map, with_trace(cfg, "sequential"));
   double base = seq.modeled_seconds;
   bool mismatch = false;
+  bool trace_failed = false;
   auto add = [&](const RunResult& r, PaperRef ref) {
     if (r.checksum != seq.checksum) {
       std::cerr << "[bench] CHECKSUM MISMATCH in variant '" << r.label
                 << "'\n";
       mismatch = true;
+    }
+    if (!r.trace_status.ok()) {
+      std::cerr << "[bench] trace of '" << r.label
+                << "' not written: " << r.trace_status.ToString() << "\n";
+      trace_failed = true;
     }
     table.add_row({r.label, format_seconds(r.modeled_seconds),
                    speedup_cell(base, r.modeled_seconds),
@@ -336,11 +342,7 @@ int run(int argc, const char** argv) {
   }
 
   if (!json_path.empty()) {
-    std::ofstream json(json_path);
-    if (!json) {
-      std::cerr << "[bench] cannot write " << json_path << "\n";
-      return 1;
-    }
+    std::ostringstream json;
     json << "{\n  \"bench\": \"fig1_mandel_ladder\",\n";
     json << "  \"dim\": " << params.dim << ",\n";
     json << "  \"niter\": " << params.niter << ",\n";
@@ -355,6 +357,10 @@ int run(int argc, const char** argv) {
            << (i + 1 < json_rows.size() ? "," : "") << "\n";
     }
     json << "  ]\n}\n";
+    if (Status s = write_file(json_path, json.str()); !s.ok()) {
+      std::cerr << "[bench] " << s.ToString() << "\n";
+      return 1;
+    }
     std::fprintf(stderr, "[bench] json written to %s\n", json_path.c_str());
   }
 
@@ -367,8 +373,9 @@ int run(int argc, const char** argv) {
     }
   }
 
-  // Cross-variant functional check: every rung rendered the same image.
-  return mismatch ? 1 : 0;
+  // Cross-variant functional check: every rung rendered the same image,
+  // and every requested trace was written.
+  return mismatch || trace_failed ? 1 : 0;
 }
 
 }  // namespace

@@ -19,8 +19,8 @@
 //        on, exporting a measured Chrome trace and/or a metrics dump:
 //        .json gets JSON, anything else Prometheus text)
 #include <algorithm>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 
 #include "bench_common.hpp"
 #include "cudax/cudax.hpp"
@@ -228,11 +228,7 @@ int run(int argc, const char** argv) {
            "combinations gain (see EXPERIMENTS.md).\n";
   }
   if (!json_path.empty()) {
-    std::ofstream json(json_path);
-    if (!json) {
-      std::cerr << "[bench] cannot write " << json_path << "\n";
-      return 1;
-    }
+    std::ostringstream json;
     json << "{\n  \"bench\": \"fig4_mandel_models\",\n";
     json << "  \"dim\": " << params.dim << ",\n";
     json << "  \"niter\": " << params.niter << ",\n";
@@ -247,6 +243,10 @@ int run(int argc, const char** argv) {
            << (i + 1 < json_rows.size() ? "," : "") << "\n";
     }
     json << "  ]\n}\n";
+    if (Status s = write_file(json_path, json.str()); !s.ok()) {
+      std::cerr << "[bench] " << s.ToString() << "\n";
+      return 1;
+    }
     std::fprintf(stderr, "[bench] json written to %s\n", json_path.c_str());
   }
   if (const auto outs = benchtool::telemetry_outputs(args); outs.active()) {

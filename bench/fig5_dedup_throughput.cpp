@@ -43,8 +43,8 @@
 //        The SIMD dispatch level follows HS_SIMD.)
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 
 #include "kernels/lzss.hpp"
 #include "kernels/simd/dispatch.hpp"
@@ -541,11 +541,7 @@ int run(int argc, const char** argv) {
                  "page-locked).\n";
   }
   if (!json_path.empty()) {
-    std::ofstream json(json_path);
-    if (!json) {
-      std::cerr << "[bench] cannot write " << json_path << "\n";
-      return 1;
-    }
+    std::ostringstream json;
     json << "{\n  \"bench\": \"fig5_dedup_throughput\",\n";
     json << "  \"input_bytes\": " << input_size << ",\n";
     json << "  \"replicas\": " << cfg.replicas << ",\n";
@@ -560,6 +556,10 @@ int run(int argc, const char** argv) {
            << (i + 1 < json_rows.size() ? "," : "") << "\n";
     }
     json << "  ]\n}\n";
+    if (Status s = write_file(json_path, json.str()); !s.ok()) {
+      std::cerr << "[bench] " << s.ToString() << "\n";
+      return 1;
+    }
     std::fprintf(stderr, "[bench] json written to %s\n", json_path.c_str());
   }
   const bool functional =

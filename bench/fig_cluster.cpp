@@ -301,6 +301,7 @@ int run(int argc, const char** argv) {
   std::vector<CellQuality> quality;
   bool bytes_pin_ok = true;
   bool time_pin_ok = true;
+  bool trace_ok = true;
 
   Table dtable("Cluster sweep — dedup SPar+CUDA (" +
                format_bytes(input_size) + ", " + std::to_string(replicas) +
@@ -344,6 +345,11 @@ int run(int argc, const char** argv) {
           opts.trace_path = trace_path;
         }
         const auto r = run_one(opts);
+        if (!r.trace_status.ok()) {
+          std::cerr << "[bench] trace not written: "
+                    << r.trace_status.ToString() << "\n";
+          trace_ok = false;
+        }
         pr.modeled_seconds = r.modeled_seconds;
         // Bytes pin, exact: the fabric's non-shard traffic must be what
         // the placement byte estimator predicted.
@@ -475,11 +481,7 @@ int run(int argc, const char** argv) {
   }
 
   if (!json_path.empty()) {
-    std::ofstream json(json_path);
-    if (!json) {
-      std::cerr << "[bench] cannot write " << json_path << "\n";
-      return 1;
-    }
+    std::ostringstream json;
     json << "{\n  \"bench\": \"fig_cluster\",\n";
     json << "  \"input_bytes\": " << input_size << ",\n";
     json << "  \"replicas\": " << replicas << ",\n";
@@ -536,11 +538,15 @@ int run(int argc, const char** argv) {
            << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     json << "  ]\n}\n";
+    if (Status s = write_file(json_path, json.str()); !s.ok()) {
+      std::cerr << "[bench] " << s.ToString() << "\n";
+      return 1;
+    }
     std::fprintf(stderr, "[bench] json written to %s\n", json_path.c_str());
   }
 
   return (bytes_pin_ok && time_pin_ok && makespan_le_baselines &&
-          dedup8_beats_greedy && mandel2_beats_rr)
+          dedup8_beats_greedy && mandel2_beats_rr && trace_ok)
              ? 0
              : 1;
 }

@@ -27,16 +27,17 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <numeric>
 #include <optional>
 #include <span>
+#include <sstream>
 #include <string_view>
 #include <thread>
 
 #include "common/alloc_hook.hpp"
 #include "common/buffer_pool.hpp"
 #include "common/cli.hpp"
+#include "common/format.hpp"
 #include "common/rng.hpp"
 #include "datagen/corpus.hpp"
 #include "dedup/container.hpp"
@@ -674,11 +675,7 @@ void write_json(const std::string& path, const std::vector<E2eRow>& rows,
                 const SteadyResult& steady, double spsc_single,
                 double spsc_batch, const TelemetryOverhead& overhead,
                 bool quick) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "[bench] cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
+  std::ostringstream out;
   out << "{\n";
   out << "  \"bench\": \"micro_substrate\",\n";
   out << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
@@ -736,6 +733,10 @@ void write_json(const std::string& path, const std::vector<E2eRow>& rows,
       << ", \"bytes_cached\": " << pc.bytes_cached
       << ", \"bytes_outstanding\": " << pc.bytes_outstanding << "}\n";
   out << "}\n";
+  if (Status s = write_file(path, out.str()); !s.ok()) {
+    std::fprintf(stderr, "[bench] %s\n", s.ToString().c_str());
+    std::exit(1);
+  }
 }
 
 int run_e2e_suite(const CliArgs& args) {

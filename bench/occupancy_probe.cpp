@@ -32,8 +32,9 @@ int run(int argc, const char** argv) {
   {
     std::stringstream ss(args.get_string("batches", "1,2,4,8,16,24,31,32,48,64"));
     for (std::string tok; std::getline(ss, tok, ',');) {
-      int v = std::atoi(tok.c_str());
-      if (v > 0) batches.push_back(v);
+      if (const int v = parse_int<int>(tok).value_or(0); v > 0) {
+        batches.push_back(v);
+      }
     }
   }
   const bool sum_model = args.get_string("model", "max") == "sum";

@@ -27,6 +27,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <thread>
@@ -453,9 +454,12 @@ void write_json(const SoakOptions& opt, double job_s, double saturation,
                 const std::vector<PhaseResult>& curve,
                 const PhaseResult& soak, const ElasticLegResult* fixed_leg,
                 const ElasticLegResult* elastic_leg) {
-  FILE* f = std::fopen(opt.json_path.c_str(), "w");
+  // The document is printed into memory, then written and checked whole.
+  char* doc = nullptr;
+  std::size_t doc_len = 0;
+  FILE* f = open_memstream(&doc, &doc_len);
   if (f == nullptr) {
-    std::fprintf(stderr, "[soak] cannot write %s\n", opt.json_path.c_str());
+    std::fprintf(stderr, "[soak] cannot buffer %s\n", opt.json_path.c_str());
     std::exit(1);
   }
   auto phase_json = [&](const PhaseResult& p) {
@@ -525,15 +529,17 @@ void write_json(const SoakOptions& opt, double job_s, double saturation,
     leg_json("fixed", *fixed_leg);
     std::fprintf(f, ",\n");
     leg_json("elastic", *elastic_leg);
-    std::fprintf(f, "\n  }\n");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::fprintf(stderr, "[soak] results written to %s\n",
-                 opt.json_path.c_str());
-    return;
+    std::fprintf(f, "\n  }");
   }
   std::fprintf(f, "\n}\n");
   std::fclose(f);
+  const Status written =
+      write_file(opt.json_path, std::string_view(doc, doc_len));
+  std::free(doc);
+  if (!written.ok()) {
+    std::fprintf(stderr, "[soak] %s\n", written.ToString().c_str());
+    std::exit(1);
+  }
   std::fprintf(stderr, "[soak] results written to %s\n",
                opt.json_path.c_str());
 }

@@ -61,7 +61,9 @@ void ClusterReplay::finish(ClusterRunResult& out) {
   if (registry_ != nullptr) {
     fabric.export_counters(*registry_, telemetry_prefix_);
   }
-  if (!trace_path_.empty()) (void)machine_.dump_chrome_trace(trace_path_);
+  if (!trace_path_.empty()) {
+    out.trace_status = machine_.dump_chrome_trace(trace_path_);
+  }
 }
 
 }  // namespace hs::cluster

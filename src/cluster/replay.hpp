@@ -64,6 +64,8 @@ struct ClusterRunResult {
   /// estimator).
   std::uint64_t shard_bytes = 0;
   std::vector<Fabric::LinkStats> links;
+  /// Outcome of writing ClusterRunOptions::trace_path (OK when unset).
+  Status trace_status;
 };
 
 /// One modeled replay in progress: the machine built from the options'
@@ -98,7 +100,8 @@ class ClusterReplay {
   [[nodiscard]] double task_seconds(des::TaskId id) const;
 
   /// Copies the fabric counters into `out`, exports them to the options'
-  /// registry and dumps the options' trace.
+  /// registry and dumps the options' trace, with its outcome in
+  /// `out.trace_status`.
   void finish(ClusterRunResult& out);
 
  private:

@@ -1,26 +1,13 @@
 #include "cluster/topology.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <deque>
-#include <cstdlib>
+
+#include "common/format.hpp"
 
 namespace hs::cluster {
 
 namespace {
-
-std::vector<std::string> split_ws(std::string_view line) {
-  std::vector<std::string> out;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && std::isspace(static_cast<unsigned char>(line[i]))) ++i;
-    std::size_t j = i;
-    while (j < line.size() && !std::isspace(static_cast<unsigned char>(line[j]))) ++j;
-    if (j > i) out.emplace_back(line.substr(i, j - i));
-    i = j;
-  }
-  return out;
-}
 
 /// "key=value" -> value, or empty when the token has a different key.
 std::string_view kv(std::string_view token, std::string_view key) {
@@ -29,73 +16,6 @@ std::string_view kv(std::string_view token, std::string_view key) {
     return token.substr(key.size() + 1);
   }
   return {};
-}
-
-/// Strict double parse of the whole token (no exceptions; strtod + full
-/// consumption check), scaled by `scale`.
-bool parse_number(std::string_view s, double scale, double* out) {
-  if (s.empty()) return false;
-  std::string buf(s);
-  char* end = nullptr;
-  double v = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size()) return false;
-  *out = v * scale;
-  return true;
-}
-
-bool parse_int(std::string_view s, int* out) {
-  if (s.empty()) return false;
-  std::string buf(s);
-  char* end = nullptr;
-  long v = std::strtol(buf.c_str(), &end, 10);
-  if (end != buf.c_str() + buf.size()) return false;
-  *out = static_cast<int>(v);
-  return true;
-}
-
-/// Number with an optional decimal byte suffix (KB/MB/GB), case-insensitive.
-bool parse_bytes_per_s(std::string_view s, double* out) {
-  double scale = 1.0;
-  auto ends_with_ci = [&](std::string_view suf) {
-    if (s.size() < suf.size()) return false;
-    for (std::size_t i = 0; i < suf.size(); ++i) {
-      if (std::toupper(static_cast<unsigned char>(
-              s[s.size() - suf.size() + i])) != suf[i]) {
-        return false;
-      }
-    }
-    return true;
-  };
-  if (ends_with_ci("GB")) {
-    scale = 1e9;
-    s.remove_suffix(2);
-  } else if (ends_with_ci("MB")) {
-    scale = 1e6;
-    s.remove_suffix(2);
-  } else if (ends_with_ci("KB")) {
-    scale = 1e3;
-    s.remove_suffix(2);
-  }
-  return parse_number(s, scale, out);
-}
-
-/// Number with a time suffix (s/ms/us/ns); a bare number means seconds.
-bool parse_seconds(std::string_view s, double* out) {
-  double scale = 1.0;
-  auto strip = [&](std::string_view suf, double sc) {
-    if (s.size() > suf.size() &&
-        s.substr(s.size() - suf.size()) == suf) {
-      scale = sc;
-      s.remove_suffix(suf.size());
-      return true;
-    }
-    return false;
-  };
-  // Order matters: "ms"/"us"/"ns" before the bare "s".
-  if (!strip("ms", 1e-3) && !strip("us", 1e-6) && !strip("ns", 1e-9)) {
-    strip("s", 1.0);
-  }
-  return parse_number(s, scale, out);
 }
 
 Status line_error(std::size_t lineno, const std::string& what) {
@@ -176,8 +96,12 @@ Result<Topology> parse_topology(std::string_view text) {
     if (std::size_t hash = line.find('#'); hash != std::string_view::npos) {
       line = line.substr(0, hash);
     }
-    std::vector<std::string> tok = split_ws(line);
+    const std::vector<std::string_view> tok = split_ws(line);
     if (tok.empty()) continue;
+    auto bad = [&](std::string_view what, std::string_view value) {
+      return line_error(lineno, "bad " + std::string(what) + " value '" +
+                                    std::string(value) + "'");
+    };
 
     if (tok[0] == "node") {
       if (tok.size() < 2) return line_error(lineno, "node needs a name");
@@ -186,16 +110,17 @@ Result<Topology> parse_topology(std::string_view text) {
       int gpus = 0;
       for (std::size_t t = 2; t < tok.size(); ++t) {
         if (auto v = kv(tok[t], "cores"); !v.empty()) {
-          if (!parse_int(v, &node.cores)) {
-            return line_error(lineno, "bad cores value '" + std::string(v) + "'");
-          }
+          auto cores = parse_int<int>(v);
+          if (!cores.ok()) return bad("cores", v);
+          node.cores = cores.value();
         } else if (auto g = kv(tok[t], "gpus"); !g.empty()) {
-          if (!parse_int(g, &gpus)) {
-            return line_error(lineno, "bad gpus value '" + std::string(g) + "'");
-          }
+          auto count = parse_int<int>(g);
+          if (!count.ok()) return bad("gpus", g);
+          gpus = count.value();
           if (gpus < 0) return line_error(lineno, "gpus must be >= 0");
         } else {
-          return line_error(lineno, "unknown node attribute '" + tok[t] + "'");
+          return line_error(lineno, "unknown node attribute '" +
+                                        std::string(tok[t]) + "'");
         }
       }
       node.gpus.assign(static_cast<std::size_t>(gpus),
@@ -209,24 +134,26 @@ Result<Topology> parse_topology(std::string_view text) {
       bool have_bw = false;
       for (std::size_t t = 3; t < tok.size(); ++t) {
         if (auto v = kv(tok[t], "bw"); !v.empty()) {
-          if (!parse_bytes_per_s(v, &link.bandwidth_bytes_per_s)) {
-            return line_error(lineno, "bad bw value '" + std::string(v) + "'");
-          }
+          auto bw = parse_byte_quantity(v);
+          if (!bw.ok()) return bad("bw", v);
+          link.bandwidth_bytes_per_s = bw.value();
           have_bw = true;
         } else if (auto l = kv(tok[t], "lat"); !l.empty()) {
-          if (!parse_seconds(l, &link.latency_s)) {
-            return line_error(lineno, "bad lat value '" + std::string(l) + "'");
-          }
+          auto lat = parse_seconds(l);
+          if (!lat.ok()) return bad("lat", l);
+          link.latency_s = lat.value();
         } else if (tok[t] == "half") {
           link.full_duplex = false;
         } else {
-          return line_error(lineno, "unknown link attribute '" + tok[t] + "'");
+          return line_error(lineno, "unknown link attribute '" +
+                                        std::string(tok[t]) + "'");
         }
       }
       if (!have_bw) return line_error(lineno, "link needs bw=");
       topo.links.push_back(std::move(link));
     } else {
-      return line_error(lineno, "unknown directive '" + tok[0] + "'");
+      return line_error(lineno,
+                        "unknown directive '" + std::string(tok[0]) + "'");
     }
   }
   if (Status s = topo.validate(); !s.ok()) return s;

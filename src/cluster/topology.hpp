@@ -12,8 +12,11 @@
 //   node <name> cores=<int> gpus=<int>
 //   link <a> <b> bw=<bytes/s> lat=<seconds> [half]
 //
-// bw accepts KB/MB/GB suffixes (decimal); lat accepts s/ms/us/ns. Links
-// are full duplex unless marked `half` (one shared engine both ways).
+// bw takes the byte units of the command-line flags (common/format's
+// parse_byte_quantity: "12.5GB", "2GiB", "1e9"); lat takes s/ms/us/ns
+// (parse_seconds); cores and gpus are ints, and a value outside an int is
+// an error. Links are full duplex unless marked `half` (one shared engine
+// both ways).
 // Validation rejects duplicate node names, duplicate links, self-links,
 // links referencing unknown nodes, non-positive bandwidth, negative
 // latency, nodes no path of links reaches, and empty topologies.

@@ -1,7 +1,5 @@
 #include "common/cli.hpp"
 
-#include <charconv>
-
 #include "common/format.hpp"
 
 namespace hs {
@@ -57,25 +55,13 @@ std::int64_t CliArgs::get_int(std::string_view name,
                               std::int64_t fallback) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  std::int64_t v = 0;
-  auto [ptr, ec] = std::from_chars(it->second.data(),
-                                   it->second.data() + it->second.size(), v);
-  if (ec != std::errc() || ptr != it->second.data() + it->second.size()) {
-    return fallback;
-  }
-  return v;
+  return parse_int<std::int64_t>(it->second).value_or(fallback);
 }
 
 double CliArgs::get_double(std::string_view name, double fallback) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  double v = 0;
-  auto [ptr, ec] = std::from_chars(it->second.data(),
-                                   it->second.data() + it->second.size(), v);
-  if (ec != std::errc() || ptr != it->second.data() + it->second.size()) {
-    return fallback;
-  }
-  return v;
+  return parse_double(it->second).value_or(fallback);
 }
 
 bool CliArgs::get_bool(std::string_view name, bool fallback) const {
@@ -91,8 +77,7 @@ std::uint64_t CliArgs::get_bytes(std::string_view name,
                                  std::uint64_t fallback) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  auto parsed = parse_bytes(it->second);
-  return parsed.ok() ? parsed.value() : fallback;
+  return parse_bytes(it->second).value_or(fallback);
 }
 
 Result<std::int64_t> CliArgs::get_int_in_range(std::string_view name,
@@ -101,13 +86,12 @@ Result<std::int64_t> CliArgs::get_int_in_range(std::string_view name,
                                                std::int64_t max) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  std::int64_t v = 0;
-  auto [ptr, ec] = std::from_chars(it->second.data(),
-                                   it->second.data() + it->second.size(), v);
-  if (ec != std::errc() || ptr != it->second.data() + it->second.size()) {
+  auto parsed = parse_int<std::int64_t>(it->second);
+  if (!parsed.ok()) {
     return InvalidArgument("--" + std::string(name) + "=" + it->second +
                            ": not an integer");
   }
+  const std::int64_t v = parsed.value();
   if (v < min || v > max) {
     std::string msg = "--" + std::string(name) + "=" + it->second +
                       ": must be >= " + std::to_string(min);

@@ -1,9 +1,11 @@
 #include "common/format.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 namespace hs {
 
@@ -16,6 +18,16 @@ int hex_value(char c) {
   if (c >= 'a' && c <= 'f') return 10 + (c - 'a');
   if (c >= 'A' && c <= 'F') return 10 + (c - 'A');
   return -1;
+}
+
+/// Moves the finite decimal that starts `text` (std::from_chars' grammar)
+/// into `out` and drops it from `text`; false when there is none.
+bool take_decimal(std::string_view& text, double& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (ec != std::errc() || !std::isfinite(out)) return false;
+  text.remove_prefix(static_cast<std::size_t>(ptr - text.data()));
+  return true;
 }
 
 }  // namespace
@@ -61,48 +73,85 @@ std::string format_bytes(std::uint64_t bytes) {
   return format_fixed(v, 2) + " " + kUnits[unit];
 }
 
-Result<std::uint64_t> parse_bytes(std::string_view text) {
-  // split numeric prefix
-  std::size_t i = 0;
-  while (i < text.size() &&
-         (std::isdigit(static_cast<unsigned char>(text[i])) || text[i] == '.')) {
-    ++i;
+std::vector<std::string_view> split_ws(std::string_view text) {
+  constexpr std::string_view kSpace = " \t\n\v\f\r";
+  std::vector<std::string_view> out;
+  std::size_t i = text.find_first_not_of(kSpace);
+  while (i != std::string_view::npos) {
+    const std::size_t end = std::min(text.find_first_of(kSpace, i), text.size());
+    out.push_back(text.substr(i, end - i));
+    i = text.find_first_not_of(kSpace, end);
   }
-  if (i == 0) return InvalidArgument("no numeric prefix in byte size");
-  double value = 0.0;
-  auto [ptr, ec] = std::from_chars(text.data(), text.data() + i, value);
-  if (ec != std::errc() || ptr != text.data() + i) {
-    return InvalidArgument("bad numeric prefix in byte size");
-  }
-  // trim whitespace then read unit
-  std::string_view unit = text.substr(i);
-  while (!unit.empty() && unit.front() == ' ') unit.remove_prefix(1);
-  std::string u;
-  for (char c : unit) u.push_back(static_cast<char>(std::tolower(c)));
+  return out;
+}
 
-  double mult = 1.0;
-  if (u.empty() || u == "b") {
-    mult = 1.0;
-  } else if (u == "kb" || u == "k") {
-    mult = 1e3;
-  } else if (u == "mb" || u == "m") {
-    mult = 1e6;
-  } else if (u == "gb" || u == "g") {
-    mult = 1e9;
-  } else if (u == "tb" || u == "t") {
-    mult = 1e12;
-  } else if (u == "kib") {
-    mult = 1024.0;
-  } else if (u == "mib") {
-    mult = 1024.0 * 1024.0;
-  } else if (u == "gib") {
-    mult = 1024.0 * 1024.0 * 1024.0;
-  } else {
-    return InvalidArgument("unknown byte-size unit: " + u);
+template <typename Int>
+Result<Int> parse_int(std::string_view text) {
+  Int v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec == std::errc::result_out_of_range) {
+    return OutOfRange("integer out of range: '" + std::string(text) + "'");
   }
-  double total = value * mult;
-  if (total < 0 || total > 9.2e18) return OutOfRange("byte size overflows");
+  if (ec != std::errc() || ptr != end) {
+    return InvalidArgument("not an integer: '" + std::string(text) + "'");
+  }
+  return v;
+}
+
+template Result<int> parse_int<int>(std::string_view);
+template Result<std::int64_t> parse_int<std::int64_t>(std::string_view);
+template Result<std::uint64_t> parse_int<std::uint64_t>(std::string_view);
+
+Result<double> parse_double(std::string_view text) {
+  std::string_view rest = text;
+  double v = 0;
+  if (!take_decimal(rest, v) || !rest.empty()) {
+    return InvalidArgument("not a number: '" + std::string(text) + "'");
+  }
+  return v;
+}
+
+Result<double> parse_byte_quantity(std::string_view text) {
+  static constexpr std::pair<std::string_view, double> kUnits[] = {
+      {"", 1.0},   {"b", 1.0},   {"k", 1e3},      {"kb", 1e3},
+      {"m", 1e6},  {"mb", 1e6},  {"g", 1e9},      {"gb", 1e9},
+      {"t", 1e12}, {"tb", 1e12}, {"kib", 1024.0}, {"mib", 1024.0 * 1024.0},
+      {"gib", 1024.0 * 1024.0 * 1024.0}};
+  std::string_view unit = text;
+  double value = 0;
+  if (!take_decimal(unit, value)) {
+    return InvalidArgument("no numeric prefix in byte size");
+  }
+  while (!unit.empty() && unit.front() == ' ') unit.remove_prefix(1);
+  const auto same = [](char a, char lower) {
+    return std::tolower(static_cast<unsigned char>(a)) == lower;
+  };
+  for (const auto& [name, mult] : kUnits) {
+    if (std::equal(unit.begin(), unit.end(), name.begin(), name.end(), same)) {
+      return value * mult;
+    }
+  }
+  return InvalidArgument("unknown byte-size unit: " + std::string(unit));
+}
+
+Result<std::uint64_t> parse_bytes(std::string_view text) {
+  HS_ASSIGN_OR_RETURN(const double total, parse_byte_quantity(text));
+  if (total < 0 || total > 9.2e18) return OutOfRange("byte size out of range");
   return static_cast<std::uint64_t>(total);
+}
+
+Result<double> parse_seconds(std::string_view text) {
+  std::string_view unit = text;
+  double value = 0;
+  if (!take_decimal(unit, value)) {
+    return InvalidArgument("no numeric prefix in duration");
+  }
+  if (unit.empty() || unit == "s") return value;
+  if (unit == "ms") return value * 1e-3;
+  if (unit == "us") return value * 1e-6;
+  if (unit == "ns") return value * 1e-9;
+  return InvalidArgument("unknown duration unit: " + std::string(unit));
 }
 
 std::string format_fixed(double value, int digits) {

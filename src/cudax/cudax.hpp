@@ -154,7 +154,9 @@ cudaError cudaMemcpyAsync(void* dst, const void* src, std::size_t bytes,
 // ---- streams and events ----------------------------------------------------------
 
 cudaError cudaStreamCreate(cudaStream_t* stream);
-/// Streams are virtual; destroy is a no-op kept for API fidelity.
+/// Frees the stream's id for a later cudaStreamCreate; work already queued
+/// on it still counts toward cudaDeviceSynchronize. An unknown or already
+/// destroyed stream is cudaErrorInvalidResourceHandle.
 cudaError cudaStreamDestroy(cudaStream_t stream);
 /// Blocks (virtually) until the stream drains; reports the virtual
 /// completion time through `vtime` when non-null.

@@ -5,6 +5,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "common/bytes.hpp"
 #include "flow/adapters.hpp"
 #include "flow/pipeline.hpp"
 
@@ -23,57 +24,6 @@ constexpr std::size_t kHeaderSize = 8 + 4 + 4 + 8 + 8 + 4 + 4;
 /// a corrupted length field from triggering a huge up-front reserve.
 constexpr std::size_t kMaxPrealloc = std::size_t{64} << 20;
 
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-/// Bounds-checked little-endian reader.
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> data) : data_(data) {}
-
-  bool u8(std::uint8_t& v) {
-    if (pos_ + 1 > data_.size()) return false;
-    v = data_[pos_++];
-    return true;
-  }
-  bool u32(std::uint32_t& v) {
-    if (pos_ + 4 > data_.size()) return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-  bool u64(std::uint64_t& v) {
-    if (pos_ + 8 > data_.size()) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-  bool bytes(std::size_t n, std::span<const std::uint8_t>& out) {
-    if (pos_ + n > data_.size()) return false;
-    out = data_.subspan(pos_, n);
-    pos_ += n;
-    return true;
-  }
-  [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
-
- private:
-  std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;
-};
-
 struct Header {
   std::uint64_t original_size = 0;
   std::uint64_t batch_count = 0;
@@ -81,7 +31,7 @@ struct Header {
   DedupCodec codec = DedupCodec::kLzss;
 };
 
-Result<Header> read_header(Reader& r) {
+Result<Header> read_header(ByteReader& r) {
   std::span<const std::uint8_t> magic;
   if (!r.bytes(8, magic) ||
       std::memcmp(magic.data(), kMagic, 8) != 0) {
@@ -151,7 +101,7 @@ struct ParsedBatch {
 
 /// Reads batch `b`'s header and block records. Unique blocks are bounded
 /// by the batch before decode_batch allocates from their lengths.
-Result<ParsedBatch> parse_batch(Reader& r, std::uint64_t b) {
+Result<ParsedBatch> parse_batch(ByteReader& r, std::uint64_t b) {
   ParsedBatch batch;
   std::uint64_t index = 0;
   std::uint32_t block_count = 0;
@@ -194,11 +144,9 @@ Status decode_batch(ParsedBatch& batch, const kernels::LzssParams& lzss) {
     std::span<const std::uint8_t> payload = block.payload;
     if (block.entropy) {
       // Entropy-coded block: u32 lzss_len | huffman(lzss(block)).
-      if (payload.size() < 4) return DataLoss("truncated codec prefix");
+      ByteReader prefix(payload);
       std::uint32_t lzss_len = 0;
-      for (int i = 0; i < 4; ++i) {
-        lzss_len |= static_cast<std::uint32_t>(payload[i]) << (8 * i);
-      }
+      if (!prefix.u32(lzss_len)) return DataLoss("truncated codec prefix");
       HS_RETURN_IF_ERROR(check_lzss_len(lzss_len, block.raw_len));
       HS_ASSIGN_OR_RETURN(
           auto lz, kernels::huffman_decode(payload.subspan(4), lzss_len));
@@ -261,7 +209,8 @@ Status assemble_batch(const ParsedBatch& batch, Assembly& a) {
 
 /// Checks the assembled output against the header's size and the
 /// archive's SHA-1 trailer.
-Result<std::vector<std::uint8_t>> verify_output(Reader& r, const Header& hdr,
+Result<std::vector<std::uint8_t>> verify_output(ByteReader& r,
+                                                const Header& hdr,
                                                 std::vector<std::uint8_t> out) {
   if (out.size() != hdr.original_size) {
     return DataLoss("archive decoded size mismatch");
@@ -304,10 +253,10 @@ Status ArchiveWriter::append(const Batch& batch) {
   put_u32(out_, static_cast<std::uint32_t>(batch.blocks.size()));
   for (const BlockInfo& block : batch.blocks) {
     if (block.duplicate) {
-      put_u8(out_, 1);
+      out_.push_back(1);
       put_u64(out_, block.global_id);
     } else {
-      put_u8(out_, block.entropy_coded ? 2 : 0);
+      out_.push_back(block.entropy_coded ? 2 : 0);
       put_u32(out_, block.len);
       put_u32(out_, static_cast<std::uint32_t>(block.compressed.size()));
       out_.insert(out_.end(), block.compressed.begin(),
@@ -322,20 +271,15 @@ Status ArchiveWriter::append(const Batch& batch) {
 std::vector<std::uint8_t> ArchiveWriter::finish(
     const kernels::Sha1Digest& input_digest) {
   finished_ = true;
-  // Patch original size and batch count into the header.
-  for (int i = 0; i < 8; ++i) {
-    out_[16 + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(original_size_ >> (8 * i));
-    out_[24 + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(batch_count_ >> (8 * i));
-  }
+  patch_u64(out_, 16, original_size_);
+  patch_u64(out_, 24, batch_count_);
   out_.insert(out_.end(), input_digest.begin(), input_digest.end());
   return std::move(out_);
 }
 
 Result<std::vector<std::uint8_t>> extract(
     std::span<const std::uint8_t> archive) {
-  Reader r(archive);
+  ByteReader r(archive);
   HS_ASSIGN_OR_RETURN(const Header hdr, read_header(r));
   Assembly a(hdr.original_size);
   for (std::uint64_t b = 0; b < hdr.batch_count; ++b) {
@@ -347,37 +291,21 @@ Result<std::vector<std::uint8_t>> extract(
 }
 
 Result<ArchiveInfo> inspect(std::span<const std::uint8_t> archive) {
-  Reader r(archive);
+  ByteReader r(archive);
   HS_ASSIGN_OR_RETURN(const Header hdr, read_header(r));
   ArchiveInfo info;
   info.original_size = hdr.original_size;
   info.batch_count = hdr.batch_count;
   for (std::uint64_t b = 0; b < hdr.batch_count; ++b) {
-    std::uint64_t index = 0;
-    std::uint32_t original_len = 0, block_count = 0;
-    if (!r.u64(index) || !r.u32(original_len) || !r.u32(block_count)) {
-      return DataLoss("truncated batch header");
-    }
-    for (std::uint32_t k = 0; k < block_count; ++k) {
-      std::uint8_t tag = 0;
-      if (!r.u8(tag)) return DataLoss("truncated block tag");
-      if (tag == 0 || tag == 2) {
-        std::uint32_t raw_len = 0, comp_len = 0;
-        std::span<const std::uint8_t> payload;
-        if (!r.u32(raw_len) || !r.u32(comp_len) ||
-            !r.bytes(comp_len, payload)) {
-          return DataLoss("truncated unique block");
-        }
-        ++info.unique_blocks;
-        if (tag == 2) ++info.entropy_blocks;
-        info.compressed_payload_bytes += comp_len;
-      } else if (tag == 1) {
-        std::uint64_t ref = 0;
-        if (!r.u64(ref)) return DataLoss("truncated duplicate reference");
+    HS_ASSIGN_OR_RETURN(const ParsedBatch batch, parse_batch(r, b));
+    for (const ParsedBlock& block : batch.blocks) {
+      if (block.duplicate) {
         ++info.duplicate_blocks;
-      } else {
-        return DataLoss("unknown block tag");
+        continue;
       }
+      ++info.unique_blocks;
+      if (block.entropy) ++info.entropy_blocks;
+      info.compressed_payload_bytes += block.payload.size();
     }
   }
   return info;
@@ -385,7 +313,7 @@ Result<ArchiveInfo> inspect(std::span<const std::uint8_t> archive) {
 
 Result<std::vector<std::uint8_t>> extract_parallel(
     std::span<const std::uint8_t> archive, int replicas) {
-  Reader r(archive);
+  ByteReader r(archive);
   HS_ASSIGN_OR_RETURN(const Header header, read_header(r));
   Assembly a(header.original_size);
   // Each stage reports corruption by throwing; the pipeline surfaces it.

@@ -3,30 +3,16 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <string_view>
 #include <system_error>
+
+#include "common/bytes.hpp"
+#include "common/format.hpp"
 
 namespace hs::dedup {
 namespace fs = std::filesystem;
 
 namespace {
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
 
 /// Segment file names are segment-<%06llu>.dup so a lexicographic directory
 /// scan is also index order.
@@ -37,11 +23,15 @@ std::string segment_name(std::uint64_t index) {
   return buf;
 }
 
-bool parse_segment_index(const std::string& name, std::uint64_t& out) {
-  unsigned long long v = 0;
-  if (std::sscanf(name.c_str(), "segment-%6llu.dup", &v) != 1) return false;
-  out = v;
-  return true;
+/// The index of a segment file name, which is exactly segment-<digits>.dup:
+/// a spill's ".tmp" sibling is not a segment.
+bool parse_segment_index(std::string_view name, std::uint64_t& out) {
+  if (!name.starts_with("segment-") || !name.ends_with(".dup")) return false;
+  name.remove_prefix(8);
+  name.remove_suffix(4);
+  auto index = parse_int<std::uint64_t>(name);
+  if (index.ok()) out = index.value();
+  return index.ok();
 }
 
 }  // namespace
@@ -94,41 +84,44 @@ void DupStore::load_segment(const std::string& path) {
   bytes.resize(got);
 
   ++segments_loaded_;
-  if (bytes.size() < kHeaderBytes ||
-      std::memcmp(bytes.data(), kSegmentMagic, 8) != 0) {
+  ByteReader r(bytes);
+  std::span<const std::uint8_t> magic, version_reserved;
+  std::uint64_t declared = 0;
+  if (!r.bytes(8, magic) || std::memcmp(magic.data(), kSegmentMagic, 8) != 0 ||
+      !r.bytes(8, version_reserved) || !r.u64(declared)) {
     ++quarantined_segments_;
     return;
   }
-  const std::uint64_t declared = get_u64(bytes.data() + 16);
-  const std::size_t full_size =
-      kHeaderBytes + declared * kEntryBytes + kTrailerBytes;
 
+  // Full length when the file holds the declared entries and a trailer;
+  // compared by division, so no declared count can wrap the size.
   std::uint64_t usable = 0;
-  if (bytes.size() >= full_size) {
+  if (r.remaining() >= kTrailerBytes &&
+      declared <= (r.remaining() - kTrailerBytes) / kEntryBytes) {
     // Full-length file: the trailer must validate or nothing is trusted
     // (a flipped bit could be in any entry).
+    const std::size_t body = kHeaderBytes + declared * kEntryBytes;
     kernels::Sha1Digest want;
-    std::memcpy(want.data(), bytes.data() + full_size - kTrailerBytes, 20);
-    const kernels::Sha1Digest have = kernels::Sha1::hash(
-        std::span(bytes.data(), full_size - kTrailerBytes));
-    if (have != want) {
+    std::memcpy(want.data(), bytes.data() + body, 20);
+    if (kernels::Sha1::hash(std::span(bytes.data(), body)) != want) {
       ++quarantined_segments_;
       return;
     }
     usable = declared;
   } else {
-    // Truncated (crash mid-write of a pre-rename tmp that leaked, or media
-    // loss): recover the longest whole-entry prefix.
-    usable = (bytes.size() - kHeaderBytes) / kEntryBytes;
-    if (usable > declared) usable = declared;
+    // Short file (media loss, or a file cut short outside spill(), whose
+    // leaked ".tmp" is never a segment name): recover the longest
+    // whole-entry prefix.
+    usable = std::min<std::uint64_t>(declared, r.remaining() / kEntryBytes);
     ++truncated_segments_;
   }
 
-  for (std::uint64_t i = 0; i < usable; ++i) {
-    const std::uint8_t* p = bytes.data() + kHeaderBytes + i * kEntryBytes;
+  std::span<const std::uint8_t> entry;
+  std::uint64_t id = 0;
+  for (std::uint64_t i = 0; i < usable && r.bytes(20, entry) && r.u64(id);
+       ++i) {
     kernels::Sha1Digest digest;
-    std::memcpy(digest.data(), p, 20);
-    const std::uint64_t id = get_u64(p + 20);
+    std::memcpy(digest.data(), entry.data(), 20);
     Shard& shard = shards_[shard_of(digest)];
     auto [it, inserted] = shard.map.try_emplace(digest);
     if (inserted) {

@@ -28,13 +28,15 @@
 //
 // Recovery rules (exercised by dup_store_test's corruption fuzz):
 //   * well-formed segment (size and trailer match) -> load every entry;
-//   * short file (truncation, e.g. crash mid-spill) -> load the longest
-//     whole-entry prefix, counted in Stats::truncated_segments;
+//   * short file (truncation, e.g. media loss; also any file too short
+//     for its declared count) -> load the longest whole-entry prefix,
+//     counted in Stats::truncated_segments;
 //   * full-length file whose trailer mismatches (bit rot) -> quarantine:
 //     load nothing from it, counted in Stats::quarantined_segments.
 // Spills write to a ".tmp" sibling and rename into place, so a crash
-// never leaves a half-written file under a live segment name; on any
-// write error the drained entries are re-queued for the next spill.
+// never leaves a half-written file under a live segment name (exactly
+// segment-<digits>.dup; open() ignores every other name); on any write
+// error the drained entries are re-queued for the next spill.
 //
 // Store ids are assignment-ordered (atomic counter) and only meaningful
 // within one store directory; hit counters are runtime telemetry and are

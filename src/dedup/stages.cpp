@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/bytes.hpp"
 #include "kernels/huffman.hpp"
 #include "kernels/simd/rabin_lanes.hpp"
 #include "kernels/simd/sha1_mb.hpp"
@@ -143,12 +144,9 @@ void finish_payload(const DedupConfig& config, BlockInfo& block) {
   // knows how much the entropy layer decodes to.
   auto huff = kernels::huffman_encode(block.compressed.span());
   if (4 + huff.size() < block.compressed.size()) {
-    std::uint32_t n = static_cast<std::uint32_t>(block.compressed.size());
     PooledBuffer out;
     out.reserve(4 + huff.size());
-    for (int i = 0; i < 4; ++i) {
-      out.push_back(static_cast<std::uint8_t>(n >> (8 * i)));
-    }
+    put_u32(out, static_cast<std::uint32_t>(block.compressed.size()));
     out.append(huff.data(), huff.size());
     block.compressed = std::move(out);
     block.entropy_coded = true;

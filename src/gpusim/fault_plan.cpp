@@ -1,7 +1,6 @@
 #include "gpusim/fault_plan.hpp"
 
-#include <charconv>
-#include <cstdlib>
+#include "common/format.hpp"
 
 namespace hs::gpusim {
 
@@ -136,20 +135,6 @@ Status FaultPlan::on_op(FaultSite site) {
 
 namespace {
 
-bool parse_u64(std::string_view text, std::uint64_t* out) {
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  auto [ptr, ec] = std::from_chars(begin, end, *out);
-  return ec == std::errc{} && ptr == end;
-}
-
-bool parse_rate(std::string_view text, double* out) {
-  std::string owned(text);
-  char* end = nullptr;
-  *out = std::strtod(owned.c_str(), &end);
-  return end == owned.c_str() + owned.size() && *out >= 0.0 && *out <= 1.0;
-}
-
 bool parse_site(std::string_view name, FaultSite* site, bool* any) {
   *any = false;
   if (name == "alloc") { *site = FaultSite::kAlloc; return true; }
@@ -191,7 +176,9 @@ Result<FaultPlan> FaultPlan::Parse(std::string_view spec) {
     std::string_view value = clause.substr(eq + 1);
 
     if (key == "seed") {
-      if (!parse_u64(value, &seed)) return bad(clause, "seed must be a u64");
+      auto parsed = parse_int<std::uint64_t>(value);
+      if (!parsed.ok()) return bad(clause, "seed must be a u64");
+      seed = parsed.value();
       continue;
     }
     std::size_t dot = key.find('.');
@@ -213,10 +200,8 @@ Result<FaultPlan> FaultPlan::Parse(std::string_view spec) {
       return bad(clause, "unknown site (want alloc/h2d/d2h/launch/any/lost)");
     }
     if (p.trigger == "nth") {
-      std::uint64_t nth = 0;
-      if (!parse_u64(p.value, &nth) || nth == 0) {
-        return bad(clause, "nth must be a positive integer");
-      }
+      const std::uint64_t nth = parse_int<std::uint64_t>(p.value).value_or(0);
+      if (nth == 0) return bad(clause, "nth must be a positive integer");
       if (sticky) {
         plan.lose_device_at(nth);
       } else {
@@ -229,8 +214,8 @@ Result<FaultPlan> FaultPlan::Parse(std::string_view spec) {
         plan.rules_.push_back(r);
       }
     } else if (p.trigger == "p") {
-      double rate = 0.0;
-      if (!parse_rate(p.value, &rate)) {
+      const double rate = parse_double(p.value).value_or(-1.0);
+      if (rate < 0.0 || rate > 1.0) {
         return bad(clause, "p must be a probability in [0, 1]");
       }
       if (sticky) {

@@ -218,8 +218,11 @@ Result<std::vector<std::uint8_t>> huffman_decode(
     }
   }
 
+  // Every symbol costs at least one bit, so reserve no more than the
+  // stream can decode to; original_size is untrusted container data.
   std::vector<std::uint8_t> out;
-  out.reserve(original_size);
+  out.reserve(std::min<std::size_t>(original_size,
+                                    (compressed.size() - kSymbols / 2) * 8));
   BitReader bits(compressed.subspan(kSymbols / 2));
   while (out.size() < original_size) {
     std::uint16_t code = 0;

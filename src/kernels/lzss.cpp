@@ -297,8 +297,12 @@ Result<std::vector<std::uint8_t>> lzss_decode(
     std::span<const std::uint8_t> compressed, std::size_t original_size,
     const LzssParams& params) {
   if (!params.valid()) return InvalidArgument("bad LZSS parameters");
+  // Reserve no more than `compressed` can decode to: every item costs at
+  // least 9 bits and yields at most max_match bytes. original_size is
+  // untrusted container data.
   std::vector<std::uint8_t> out;
-  out.reserve(original_size);
+  out.reserve(std::min<std::size_t>(
+      original_size, compressed.size() * 8 / 9 * params.max_match));
   BitReader in(compressed);
   while (out.size() < original_size) {
     bool literal = false;

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <optional>
 
+#include "common/bytes.hpp"
 #include "kernels/sha1.hpp"
 #include "spar/gpu_stage.hpp"
 #include "spar/spar.hpp"
@@ -26,17 +27,6 @@ struct Block {
 
   [[nodiscard]] bool empty() const { return raw.empty(); }
 };
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
 
 /// Ordered container writer shared by all variants.
 class Writer {
@@ -64,12 +54,8 @@ class Writer {
   }
 
   std::vector<std::uint8_t> finish(const kernels::Sha1Digest& digest) {
-    for (int i = 0; i < 8; ++i) {
-      out_[20 + static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(original_ >> (8 * i));
-      out_[28 + static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(next_index_ >> (8 * i));
-    }
+    patch_u64(out_, 20, original_);
+    patch_u64(out_, 28, next_index_);
     out_.insert(out_.end(), digest.begin(), digest.end());
     return std::move(out_);
   }
@@ -206,47 +192,13 @@ Result<std::vector<std::uint8_t>> compress_spar_cuda(
 
 namespace {
 
-/// Bounds-checked little-endian reader (container parsing).
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> data) : data_(data) {}
-  bool u32(std::uint32_t& v) {
-    if (pos_ + 4 > data_.size()) return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-  bool u64(std::uint64_t& v) {
-    if (pos_ + 8 > data_.size()) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-  bool bytes(std::size_t n, std::span<const std::uint8_t>& out) {
-    if (pos_ + n > data_.size()) return false;
-    out = data_.subspan(pos_, n);
-    pos_ += n;
-    return true;
-  }
-
- private:
-  std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;
-};
-
 struct ParsedHeader {
   kernels::LzssParams lzss;
   std::uint64_t original_size = 0;
   std::uint64_t block_count = 0;
 };
 
-Result<ParsedHeader> parse_header(Reader& r) {
+Result<ParsedHeader> parse_header(ByteReader& r) {
   std::span<const std::uint8_t> magic;
   if (!r.bytes(8, magic) || std::memcmp(magic.data(), kMagic, 8) != 0) {
     return DataLoss("bad LZSS container magic");
@@ -268,23 +220,21 @@ Result<ParsedHeader> parse_header(Reader& r) {
 
 Result<std::vector<std::uint8_t>> decompress(
     std::span<const std::uint8_t> archive) {
-  Reader r(archive);
-  auto hdr = parse_header(r);
-  if (!hdr.ok()) return hdr.status();
-
+  ByteReader r(archive);
+  HS_ASSIGN_OR_RETURN(const ParsedHeader hdr, parse_header(r));
   std::vector<std::uint8_t> out;
-  out.reserve(std::min<std::uint64_t>(hdr.value().original_size, kMaxPrealloc));
-  for (std::uint64_t b = 0; b < hdr.value().block_count; ++b) {
+  out.reserve(std::min<std::uint64_t>(hdr.original_size, kMaxPrealloc));
+  for (std::uint64_t b = 0; b < hdr.block_count; ++b) {
     std::uint32_t raw_len = 0, comp_len = 0;
     std::span<const std::uint8_t> payload;
     if (!r.u32(raw_len) || !r.u32(comp_len) || !r.bytes(comp_len, payload)) {
       return DataLoss("truncated LZSS container block");
     }
-    auto block = kernels::lzss_decode(payload, raw_len, hdr.value().lzss);
-    if (!block.ok()) return block.status();
-    out.insert(out.end(), block.value().begin(), block.value().end());
+    HS_ASSIGN_OR_RETURN(const auto block,
+                        kernels::lzss_decode(payload, raw_len, hdr.lzss));
+    out.insert(out.end(), block.begin(), block.end());
   }
-  if (out.size() != hdr.value().original_size) {
+  if (out.size() != hdr.original_size) {
     return DataLoss("decoded size mismatch");
   }
   std::span<const std::uint8_t> trailer;
@@ -298,13 +248,12 @@ Result<std::vector<std::uint8_t>> decompress(
 }
 
 Result<LzssStreamInfo> inspect(std::span<const std::uint8_t> archive) {
-  Reader r(archive);
-  auto hdr = parse_header(r);
-  if (!hdr.ok()) return hdr.status();
+  ByteReader r(archive);
+  HS_ASSIGN_OR_RETURN(const ParsedHeader hdr, parse_header(r));
   LzssStreamInfo info;
-  info.original_size = hdr.value().original_size;
-  info.block_count = hdr.value().block_count;
-  for (std::uint64_t b = 0; b < hdr.value().block_count; ++b) {
+  info.original_size = hdr.original_size;
+  info.block_count = hdr.block_count;
+  for (std::uint64_t b = 0; b < hdr.block_count; ++b) {
     std::uint32_t raw_len = 0, comp_len = 0;
     std::span<const std::uint8_t> payload;
     if (!r.u32(raw_len) || !r.u32(comp_len) || !r.bytes(comp_len, payload)) {

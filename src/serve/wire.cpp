@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <charconv>
 #include <cstring>
 #include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include "common/format.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define HS_WIRE_POSIX 1
@@ -25,33 +26,17 @@ namespace hs::serve {
 
 namespace {
 
-/// Splits `line` on single spaces into at most `max` tokens (no empties).
-std::vector<std::string_view> tokenize(std::string_view line) {
-  std::vector<std::string_view> out;
-  std::size_t pos = 0;
-  while (pos < line.size()) {
-    const std::size_t space = line.find(' ', pos);
-    const std::size_t end = space == std::string_view::npos ? line.size()
-                                                            : space;
-    if (end > pos) out.push_back(line.substr(pos, end - pos));
-    pos = end + 1;
-  }
-  return out;
-}
+/// Largest dedup payload, and the largest mandel dim whose dim x dim frame
+/// fits the same 64 MiB.
+constexpr std::uint64_t kMaxPayloadBytes = std::uint64_t{64} << 20;
+constexpr int kMaxMandelDim = 8192;
 
-bool parse_u64(std::string_view tok, std::uint64_t& out) {
-  const auto [ptr, ec] =
-      std::from_chars(tok.data(), tok.data() + tok.size(), out);
-  return ec == std::errc() && ptr == tok.data() + tok.size();
-}
-
-bool parse_int(std::string_view tok, int& out) {
-  std::int64_t v = 0;
-  const auto [ptr, ec] =
-      std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  if (ec != std::errc() || ptr != tok.data() + tok.size()) return false;
-  out = static_cast<int>(v);
-  return true;
+/// `tok` as an integer of `out`'s type (common/format's parse_int).
+template <typename Int>
+bool read_int(std::string_view tok, Int& out) {
+  auto v = parse_int<Int>(tok);
+  if (v.ok()) out = v.value();
+  return v.ok();
 }
 
 /// Deterministic compressible-ish payload for wire dedup jobs: repeating
@@ -68,7 +53,7 @@ std::vector<std::uint8_t> synth_payload(std::uint64_t bytes) {
 }  // namespace
 
 Result<WireRequest> parse_request(std::string_view line) {
-  const auto toks = tokenize(line);
+  const auto toks = split_ws(line);
   if (toks.empty()) return InvalidArgument("empty request line");
   WireRequest req;
   if (toks[0] == "ping") {
@@ -92,9 +77,10 @@ Result<WireRequest> parse_request(std::string_view line) {
   if (toks[2] == "mandel") {
     int dim = 0;
     int niter = 0;
-    if (toks.size() != 5 || !parse_int(toks[3], dim) ||
-        !parse_int(toks[4], niter) || dim < 1 || niter < 1) {
-      return InvalidArgument("job mandel: want <dim> <niter>");
+    if (toks.size() != 5 || !read_int(toks[3], dim) ||
+        !read_int(toks[4], niter) || dim < 1 || dim > kMaxMandelDim ||
+        niter < 1) {
+      return InvalidArgument("job mandel: want <dim> (<= 8192) <niter>");
     }
     req.job.kind = JobKind::kMandel;
     req.job.mandel.dim = dim;
@@ -103,8 +89,8 @@ Result<WireRequest> parse_request(std::string_view line) {
   }
   if (toks[2] == "dedup") {
     std::uint64_t bytes = 0;
-    if (toks.size() != 4 || !parse_u64(toks[3], bytes) || bytes < 1 ||
-        bytes > (64u << 20)) {
+    if (toks.size() != 4 || !read_int(toks[3], bytes) || bytes < 1 ||
+        bytes > kMaxPayloadBytes) {
       return InvalidArgument("job dedup: want <payload_bytes> (<= 64MB)");
     }
     req.job.kind = JobKind::kDedup;
@@ -149,7 +135,7 @@ std::string encode_response(const WireResponse& resp) {
 }
 
 Result<WireResponse> parse_response(std::string_view line) {
-  const auto toks = tokenize(line);
+  const auto toks = split_ws(line);
   if (toks.empty()) return InvalidArgument("empty response line");
   WireResponse resp;
   if (toks[0] == "pong") {
@@ -157,9 +143,9 @@ Result<WireResponse> parse_response(std::string_view line) {
     return resp;
   }
   if (toks[0] == "ok") {
-    if (toks.size() != 4 || !parse_u64(toks[1], resp.job_id) ||
-        !parse_u64(toks[2], resp.latency_ns) ||
-        !parse_int(toks[3], resp.device)) {
+    if (toks.size() != 4 || !read_int(toks[1], resp.job_id) ||
+        !read_int(toks[2], resp.latency_ns) ||
+        !read_int(toks[3], resp.device)) {
       return InvalidArgument("malformed ok line");
     }
     resp.kind = WireResponse::Kind::kOk;
@@ -181,11 +167,11 @@ Result<WireResponse> parse_response(std::string_view line) {
     return resp;
   }
   if (toks[0] == "stats") {
-    if (toks.size() != 6 || !parse_u64(toks[1], resp.accepted) ||
-        !parse_u64(toks[2], resp.shed) ||
-        !parse_u64(toks[3], resp.quota_rejects) ||
-        !parse_u64(toks[4], resp.completed) ||
-        !parse_int(toks[5], resp.workers)) {
+    if (toks.size() != 6 || !read_int(toks[1], resp.accepted) ||
+        !read_int(toks[2], resp.shed) ||
+        !read_int(toks[3], resp.quota_rejects) ||
+        !read_int(toks[4], resp.completed) ||
+        !read_int(toks[5], resp.workers)) {
       return InvalidArgument("malformed stats line");
     }
     resp.kind = WireResponse::Kind::kStats;

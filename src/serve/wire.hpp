@@ -17,7 +17,9 @@
 //
 // Dedup payloads are synthesized server-side from the requested size — the
 // wire carries load shape, not data, which keeps the generator cheap enough
-// to saturate the service from one driver process.
+// to saturate the service from one driver process. Tokens are separated by
+// whitespace. A request's host memory is capped at 64 MiB either way: a
+// dedup payload at 64 MiB, a mandel frame (dim x dim bytes) at dim 8192.
 //
 // Framing (parse_request/encode_*/parse_response) is pure string code,
 // testable without sockets. WireServer/WireClient are the blocking POSIX

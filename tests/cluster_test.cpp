@@ -69,6 +69,28 @@ TEST(TopologyTest, ParseErrorsCarryLineNumbers) {
       << topo.status().ToString();
 }
 
+TEST(TopologyTest, RejectsIntegersOutsideInt) {
+  // 2^32 + 1 fits a long; narrowed to int it would read as 1.
+  for (const char* node : {"node a cores=4294967297 gpus=1\n",
+                           "node a gpus=4294967297\n"}) {
+    auto topo = parse_topology(std::string("# first\n") + node);
+    ASSERT_FALSE(topo.ok()) << node;
+    EXPECT_NE(topo.status().ToString().find("line 2"), std::string::npos)
+        << topo.status().ToString();
+  }
+}
+
+TEST(TopologyTest, BandwidthTakesTheSharedByteUnits) {
+  for (const auto& [bw, want] :
+       std::vector<std::pair<std::string, double>>{
+           {"12.5GB", 12.5e9}, {"1e9", 1e9}, {"2GiB", 2147483648.0}}) {
+    auto topo = parse_topology("node a gpus=1\nnode b\nlink a b bw=" + bw +
+                               " lat=1ms\n");
+    ASSERT_TRUE(topo.ok()) << bw << ": " << topo.status().ToString();
+    EXPECT_EQ(topo.value().links[0].bandwidth_bytes_per_s, want) << bw;
+  }
+}
+
 TEST(TopologyTest, RejectsDanglingNodeRef) {
   auto topo = parse_topology("node a\nlink a ghost bw=1GB lat=1us\n");
   ASSERT_FALSE(topo.ok());
@@ -392,7 +414,21 @@ TEST(ClusterRunnerTest, ExportsTraceAndTelemetry) {
   ss << in.rdbuf();
   EXPECT_NE(ss.str().find("link.n0>n1"), std::string::npos)
       << "trace should contain one lane per link direction";
+  EXPECT_TRUE(r.trace_status.ok()) << r.trace_status.ToString();
   std::remove(opts.trace_path.c_str());
+}
+
+TEST(ClusterRunnerTest, ReportsATraceItCannotWrite) {
+  dedup::Fig5Config cfg;
+  dedup::DedupTrace trace = small_trace(cfg);
+  ClusterRunOptions opts;
+  opts.topo = full_mesh(2, 2, cfg.device_spec, 1e9, 1e-6);
+  opts.trace_path = ::testing::TempDir() + "/no_such_dir/cluster_trace.json";
+  const auto r =
+      run_fig5_cluster(trace, cfg, dedup::Fig5Backend::kSparCuda, opts);
+  ASSERT_FALSE(r.trace_status.ok());
+  EXPECT_NE(r.trace_status.message().find(opts.trace_path), std::string::npos)
+      << r.trace_status.ToString();
 }
 
 // ---- Makespan estimator + placer -------------------------------------

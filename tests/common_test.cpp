@@ -4,11 +4,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <vector>
 
 #include "common/backoff.hpp"
+#include "common/bytes.hpp"
 #include "common/retry.hpp"
 #include "common/cli.hpp"
 #include "common/unique_function.hpp"
@@ -117,6 +119,103 @@ TEST(FormatTest, ParseBytesErrors) {
   EXPECT_FALSE(parse_bytes("MB").ok());
   EXPECT_FALSE(parse_bytes("12XB").ok());
   EXPECT_FALSE(parse_bytes("").ok());
+}
+
+TEST(FormatTest, SplitWsDropsEmptyTokens) {
+  EXPECT_EQ(split_ws("  a \t bb\r\n c  "),
+            (std::vector<std::string_view>{"a", "bb", "c"}));
+  EXPECT_TRUE(split_ws(" \t ").empty());
+  EXPECT_TRUE(split_ws("").empty());
+}
+
+TEST(FormatTest, ParseIntTakesWholeTokenAndNeverNarrows) {
+  EXPECT_EQ(parse_int<int>("-42").value(), -42);
+  EXPECT_EQ(parse_int<std::int64_t>("9223372036854775807").value(),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(parse_int<std::uint64_t>("18446744073709551615").value(),
+            std::numeric_limits<std::uint64_t>::max());
+  // 2^32 + 1 fits a long but not an int: an error, not 1.
+  EXPECT_EQ(parse_int<int>("4294967297").status().code(),
+            ErrorCode::kOutOfRange);
+  EXPECT_EQ(parse_int<std::uint64_t>("18446744073709551616").status().code(),
+            ErrorCode::kOutOfRange);
+  EXPECT_FALSE(parse_int<std::uint64_t>("-1").ok());
+  for (const char* bad : {"", "-", "+1", " 1", "1 ", "1x", "0x10", "1.0"}) {
+    EXPECT_FALSE(parse_int<std::int64_t>(bad).ok()) << "'" << bad << "'";
+  }
+}
+
+TEST(FormatTest, ParseDoubleTakesWholeFiniteToken) {
+  EXPECT_EQ(parse_double("1.5").value(), 1.5);
+  EXPECT_EQ(parse_double("-0.25").value(), -0.25);
+  EXPECT_EQ(parse_double("1e9").value(), 1e9);
+  for (const char* bad : {"", "1.5x", " 1", "inf", "nan", "1e400", "0x1p3"}) {
+    EXPECT_FALSE(parse_double(bad).ok()) << "'" << bad << "'";
+  }
+}
+
+TEST(FormatTest, ByteGrammarAcceptsFlagAndSpecForms) {
+  // Forms topology bandwidths used before the grammars were merged...
+  EXPECT_EQ(parse_byte_quantity("12.5GB").value(), 12.5e9);
+  EXPECT_EQ(parse_byte_quantity("1e9").value(), 1e9);
+  EXPECT_EQ(parse_byte_quantity("10gb").value(), 1e10);
+  EXPECT_EQ(parse_byte_quantity("0.5").value(), 0.5);
+  // ...and flag forms, now in specs too.
+  EXPECT_EQ(parse_byte_quantity("2GiB").value(), 2147483648.0);
+  EXPECT_EQ(parse_bytes("1e9").value(), 1000000000u);
+  EXPECT_EQ(parse_bytes("64MiB").value(), 64u << 20);
+  EXPECT_EQ(parse_bytes("-1MB").status().code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(parse_bytes("1e19").status().code(), ErrorCode::kOutOfRange);
+  EXPECT_FALSE(parse_byte_quantity("1e").ok());
+  EXPECT_FALSE(parse_byte_quantity("inf").ok());
+}
+
+TEST(FormatTest, ParseSecondsUnits) {
+  EXPECT_DOUBLE_EQ(parse_seconds("5us").value(), 5e-6);
+  EXPECT_DOUBLE_EQ(parse_seconds("1ms").value(), 1e-3);
+  EXPECT_DOUBLE_EQ(parse_seconds("7ns").value(), 7e-9);
+  EXPECT_EQ(parse_seconds("3s").value(), 3.0);
+  EXPECT_EQ(parse_seconds("0.25").value(), 0.25);
+  for (const char* bad : {"", "us", "1m", "1 ms", "1MS", "1usx"}) {
+    EXPECT_FALSE(parse_seconds(bad).ok()) << "'" << bad << "'";
+  }
+}
+
+TEST(BytesTest, WritesAndReadsLittleEndian) {
+  std::vector<std::uint8_t> buf;
+  buf.push_back(0xAB);
+  put_u32(buf, 0x01020304u);
+  put_u64(buf, 0);
+  EXPECT_EQ(buf, (std::vector<std::uint8_t>{0xAB, 4, 3, 2, 1, 0, 0, 0, 0, 0,
+                                            0, 0, 0}));
+  patch_u64(buf, 5, 0x1122334455667788ull);
+  EXPECT_EQ(buf[5], 0x88);
+  EXPECT_EQ(buf[12], 0x11);
+  ByteReader r(buf);
+  std::uint8_t v8 = 0;
+  std::uint32_t v32 = 0;
+  std::uint64_t v64 = 0;
+  ASSERT_TRUE(r.u8(v8) && r.u32(v32) && r.u64(v64));
+  EXPECT_EQ(v8, 0xAB);
+  EXPECT_EQ(v32, 0x01020304u);
+  EXPECT_EQ(v64, 0x1122334455667788ull);
+  EXPECT_EQ(r.remaining(), 0u);
+}
+
+TEST(BytesTest, ReaderNeverPassesTheEnd) {
+  const std::vector<std::uint8_t> buf = {1, 2, 3};
+  ByteReader r(buf);
+  std::uint32_t v32 = 7;
+  EXPECT_FALSE(r.u32(v32));
+  EXPECT_EQ(v32, 7u);
+  std::span<const std::uint8_t> run;
+  EXPECT_FALSE(r.bytes(std::numeric_limits<std::size_t>::max(), run));
+  EXPECT_EQ(r.remaining(), 3u);  // failed reads consume nothing
+  ASSERT_TRUE(r.bytes(2, run));
+  EXPECT_EQ(run[1], 2);
+  std::uint8_t v8 = 0;
+  EXPECT_TRUE(r.u8(v8));
+  EXPECT_FALSE(r.u8(v8));
 }
 
 TEST(FormatTest, FormatSeconds) {

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "common/alloc_hook.hpp"
+#include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "cudax/cudax.hpp"
 #include "datagen/corpus.hpp"
@@ -284,6 +286,33 @@ TEST(ContainerTest, DuplicateReferencesAreBoundedByTheirBatch) {
   };
   expect_bounded(extract(archive));
   expect_bounded(extract_parallel(archive, 2));
+}
+
+// One batch and one unique block that each declare 2^32 - 1 bytes, with no
+// payload: extraction fails on the missing payload without reserving the
+// declared size first.
+TEST(ContainerTest, DeclaredBlockLengthIsNotReserved) {
+  const kernels::LzssParams lzss;
+  std::vector<std::uint8_t> archive;
+  for (char c : std::string_view("HSDEDUP1")) archive.push_back(c);
+  put_u32(archive, 1);            // version
+  put_u32(archive, 0);            // codec: LZSS
+  put_u64(archive, 0);            // original size
+  put_u64(archive, 1);            // batch count
+  put_u32(archive, lzss.window_size);
+  put_u32(archive, lzss.min_match);
+  put_u64(archive, 0);            // batch 0
+  put_u32(archive, 0xFFFFFFFFu);  // original_len
+  put_u32(archive, 1);            // block count
+  archive.push_back(0);           // unique block
+  put_u32(archive, 0xFFFFFFFFu);  // raw_len
+  put_u32(archive, 0);            // comp_len: no payload
+  [[maybe_unused]] const std::uint64_t before = heap_alloc_bytes();
+  EXPECT_EQ(extract(archive).status().code(), ErrorCode::kDataLoss);
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+  // Sanitizer allocators bypass the heap counters.
+  EXPECT_LT(heap_alloc_bytes() - before, 1u << 20);
+#endif
 }
 
 TEST(ContainerTest, InspectCountsBlocks) {

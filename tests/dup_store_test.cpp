@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "datagen/corpus.hpp"
 #include "dedup/dup_store.hpp"
@@ -194,6 +195,54 @@ TEST(DupStoreTest, BitFlipQuarantinesSegment) {
   EXPECT_EQ(s.entries, 0u);
   // The quarantined file is left in place for forensics, not deleted.
   EXPECT_TRUE(fs::exists(seg));
+}
+
+TEST(DupStoreTest, OverflowingEntryCountIsAShortSegment) {
+  // Header and trailer only, declaring 2^62 entries: 2^62 * 28 bytes wraps
+  // to 0, so a size computed by multiplication would call this 44-byte
+  // file full-length, validate its trailer and walk 2^62 entries.
+  TempDir dir("wrap");
+  fs::create_directories(dir.path);
+  std::vector<std::uint8_t> seg(DupStore::kSegmentMagic,
+                                DupStore::kSegmentMagic + 8);
+  put_u32(seg, DupStore::kSegmentVersion);
+  put_u32(seg, 0);
+  put_u64(seg, std::uint64_t{1} << 62);
+  const kernels::Sha1Digest trailer = kernels::Sha1::hash(seg);
+  seg.insert(seg.end(), trailer.begin(), trailer.end());
+  ASSERT_EQ(seg.size(), 44u);
+  const std::string path = (fs::path(dir.path) / "segment-000000.dup").string();
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(seg.data(), 1, seg.size(), f), seg.size());
+  std::fclose(f);
+  DupStore store;
+  ASSERT_TRUE(store.open(dir.path).ok());
+  const DupStore::Stats s = store.stats();
+  EXPECT_EQ(s.segments_loaded, 1u);
+  EXPECT_EQ(s.truncated_segments, 1u);
+  EXPECT_EQ(s.quarantined_segments, 0u);
+  EXPECT_EQ(s.entries_recovered, 0u);
+}
+
+TEST(DupStoreTest, SpillTempFileIsNotASegment) {
+  // A spill writes segment-N.dup.tmp and renames it; a .tmp left behind
+  // is not a segment name, so reopening recovers nothing from it.
+  TempDir dir("tmpname");
+  {
+    DupStore store;
+    ASSERT_TRUE(store.open(dir.path).ok());
+    for (std::uint64_t i = 0; i < 10; ++i) store.record(digest_of(i), nullptr);
+    ASSERT_TRUE(store.spill().ok());
+  }
+  const fs::path seg = fs::path(dir.path) / "segment-000000.dup";
+  fs::rename(seg, seg.string() + ".tmp");
+  DupStore recovered;
+  ASSERT_TRUE(recovered.open(dir.path).ok());
+  const DupStore::Stats s = recovered.stats();
+  EXPECT_EQ(s.segments_loaded, 0u);
+  EXPECT_EQ(s.entries_recovered, 0u);
+  EXPECT_EQ(s.entries, 0u);
 }
 
 TEST(DupStoreTest, RecoveryFuzzRandomTruncation) {

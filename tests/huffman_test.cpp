@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/alloc_hook.hpp"
 #include "common/rng.hpp"
 #include "datagen/corpus.hpp"
 #include "dedup/container.hpp"
@@ -81,6 +82,19 @@ TEST(HuffmanTest, DecodeRejectsCorruption) {
   // A Kraft-violating table (every symbol claims a 1-bit code).
   std::vector<std::uint8_t> bogus(128 + 16, 0x11);
   EXPECT_EQ(huffman_decode(bogus, 4).status().code(), ErrorCode::kDataLoss);
+}
+
+TEST(HuffmanTest, DeclaredSizeIsNotReservedPastTheInput) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators bypass the heap counters";
+#endif
+  // A short stream declaring 4 GiB of output is truncated data; decoding
+  // it must not reserve the declared size first.
+  auto compressed = huffman_encode(bytes_of("short payload"));
+  const std::uint64_t before = heap_alloc_bytes();
+  EXPECT_EQ(huffman_decode(compressed, 0xFFFFFFFFu).status().code(),
+            ErrorCode::kDataLoss);
+  EXPECT_LT(heap_alloc_bytes() - before, 1u << 20);
 }
 
 TEST(HuffmanTest, CodeLengthsRespectKraftAndCap) {

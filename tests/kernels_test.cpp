@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/alloc_hook.hpp"
 #include "common/rng.hpp"
 #include "kernels/lzss.hpp"
 #include "kernels/mandel.hpp"
@@ -321,6 +322,19 @@ TEST(LzssTest, DecodeRejectsCorruptStreams) {
   // A match pointing before the start of the block.
   std::vector<std::uint8_t> bogus = {0x00, 0xFF, 0xFF, 0xFF};
   EXPECT_FALSE(lzss_decode(bogus, 20, small_lzss()).ok());
+}
+
+TEST(LzssTest, DeclaredSizeIsNotReservedPastTheInput) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators bypass the heap counters";
+#endif
+  // A short stream declaring 4 GiB of output is truncated data; decoding
+  // it must not reserve the declared size first.
+  auto compressed = lzss_encode(bytes_of("short payload"), small_lzss());
+  const std::uint64_t before = heap_alloc_bytes();
+  EXPECT_EQ(lzss_decode(compressed, 0xFFFFFFFFu, small_lzss()).status().code(),
+            ErrorCode::kDataLoss);
+  EXPECT_LT(heap_alloc_bytes() - before, 1u << 20);
 }
 
 TEST(LzssTest, InvalidParamsRejected) {

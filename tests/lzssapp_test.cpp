@@ -3,6 +3,8 @@
 // and the parallel dedup extractor extension.
 #include <gtest/gtest.h>
 
+#include "common/alloc_hook.hpp"
+#include "common/bytes.hpp"
 #include "cudax/cudax.hpp"
 #include "datagen/corpus.hpp"
 #include "dedup/container.hpp"
@@ -103,13 +105,32 @@ TEST(LzssStreamTest, UntrustedOriginalSizeIsNotReserved) {
   std::vector<std::uint8_t> bad = archive.value();
   ASSERT_EQ(bad.size(), 56u);
   constexpr std::size_t kOriginalSizeAt = 8 + 4 + 4 + 4;
-  constexpr std::uint64_t kHuge = std::uint64_t{1} << 62;
-  for (std::size_t i = 0; i < 8; ++i) {
-    bad[kOriginalSizeAt + i] = static_cast<std::uint8_t>(kHuge >> (8 * i));
-  }
+  patch_u64(bad, kOriginalSizeAt, std::uint64_t{1} << 62);
   ErrorCode code = ErrorCode::kOk;
   EXPECT_NO_THROW(code = decompress(bad).status().code());
   EXPECT_EQ(code, ErrorCode::kDataLoss);
+}
+
+TEST(LzssStreamTest, UntrustedBlockLengthIsNotReserved) {
+  // A 44-byte container: the header, then one block declaring 2^32 - 1
+  // raw bytes and carrying no payload.
+  auto archive = compress_sequential({}, test_config());
+  ASSERT_TRUE(archive.ok());
+  constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 4 + 8 + 8;
+  std::vector<std::uint8_t> bad(archive.value().begin(),
+                                archive.value().begin() + kHeaderBytes);
+  patch_u64(bad, kHeaderBytes - 8, 1);  // block count
+  put_u32(bad, 0xFFFFFFFFu);            // raw_len
+  put_u32(bad, 0);                      // comp_len
+  ASSERT_EQ(bad.size(), 44u);
+  [[maybe_unused]] const std::uint64_t before = heap_alloc_bytes();
+  ErrorCode code = ErrorCode::kOk;
+  EXPECT_NO_THROW(code = decompress(bad).status().code());
+  EXPECT_EQ(code, ErrorCode::kDataLoss);
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+  // Sanitizer allocators bypass the heap counters.
+  EXPECT_LT(heap_alloc_bytes() - before, 1u << 20);
+#endif
 }
 
 TEST(LzssStreamTest, EmptyInput) {

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <future>
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -645,6 +646,13 @@ TEST(ServiceTest, QueuedQuotaRejectsBeforeSharedCapacity) {
   cfg.tenant_queue_capacity = 64;
   cfg.shed_watermark = 1.0;
   cfg.tenant_quota_queued = 2;
+  // 2-slot flow channels bound what the source can take off the tenant
+  // queues while the worker runs the blocker: one ticket in the source's
+  // hand, two in each of the source -> emitter and emitter -> worker
+  // channels, up to two in the emitter's burst and one beside the blocker
+  // in the worker's.
+  cfg.queue_capacity = 2;
+  constexpr int kPipelineHolds = 1 + 2 + 2 + 2 + 1;
   cfg.registry = &reg;
   Service service(nullptr, cfg);
   ASSERT_TRUE(service.start().ok());
@@ -652,14 +660,25 @@ TEST(ServiceTest, QueuedQuotaRejectsBeforeSharedCapacity) {
   auto blocker = service.submit("hog", synthetic_job(150'000'000));
   ASSERT_TRUE(blocker.accepted());
   wait_for_empty_backlog(service);
-  // Two queued jobs fill the quota; the third is a quota reject — a
-  // distinct code from overload, with plenty of shared capacity left.
-  ASSERT_TRUE(service.submit("hog", synthetic_job(1000), false).accepted());
-  ASSERT_TRUE(service.submit("hog", synthetic_job(1000), false).accepted());
-  auto over = service.submit("hog", synthetic_job(1000), false);
-  ASSERT_FALSE(over.accepted());
-  EXPECT_EQ(over.rejected->code, RejectCode::kQuota);
-  EXPECT_EQ(reject_code_name(over.rejected->code), "quota");
+  // Submit until the first reject. The source moves at most
+  // kPipelineHolds tickets into the channels, so two queued jobs fill the
+  // quota within kPipelineHolds + 2 acceptances however the threads
+  // interleave; the reject is a quota reject — a distinct code from
+  // overload, with plenty of shared capacity left.
+  int accepted = 0;
+  std::optional<SubmitResult> over;
+  while (accepted <= kPipelineHolds + 2) {
+    SubmitResult r = service.submit("hog", synthetic_job(1000), false);
+    if (!r.accepted()) {
+      over = std::move(r);
+      break;
+    }
+    ++accepted;
+  }
+  ASSERT_TRUE(over.has_value()) << accepted << " submissions all accepted";
+  EXPECT_GE(accepted, 2);
+  EXPECT_EQ(over->rejected->code, RejectCode::kQuota);
+  EXPECT_EQ(reject_code_name(over->rejected->code), "quota");
   // The cap is per tenant: another tenant is still admitted.
   ASSERT_TRUE(service.submit("mouse", synthetic_job(1000), false).accepted());
   (void)blocker.result.get();
@@ -848,6 +867,26 @@ TEST(WireTest, RequestFramingRoundTrips) {
         "job t dedup 999999999999", "job t warp 4"}) {
     EXPECT_FALSE(parse_request(bad).ok()) << "'" << bad << "'";
   }
+}
+
+TEST(WireTest, RejectsIntegersOutsideTheirFields) {
+  // 2^32 + 1 fits an int64; narrowed to int it would read as dim 1.
+  EXPECT_FALSE(parse_request("job t mandel 4294967297 300").ok());
+  EXPECT_FALSE(parse_request("job t mandel 64 4294967297").ok());
+  EXPECT_FALSE(parse_request("job t dedup 18446744073709551616").ok());
+  EXPECT_FALSE(parse_response("ok 1 2 4294967297").ok());
+  EXPECT_FALSE(parse_response("stats 1 2 3 4 4294967297").ok());
+}
+
+TEST(WireTest, MandelFrameIsCappedLikeDedupPayloads) {
+  // A frame is dim x dim bytes of host-backed device memory: dim 8192 is
+  // the 64 MiB a dedup payload may take.
+  auto max = parse_request("job t mandel 8192 10");
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ(max.value().job.mandel.dim, 8192);
+  EXPECT_FALSE(parse_request("job t mandel 8193 10").ok());
+  EXPECT_FALSE(parse_request("job t mandel 100000 10").ok());
+  EXPECT_FALSE(parse_request("job t dedup 67108865").ok());
 }
 
 TEST(WireTest, ResponseFramingRoundTrips) {
