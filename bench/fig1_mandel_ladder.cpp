@@ -276,13 +276,15 @@ int run(int argc, const char** argv) {
         {"4.48s", "89x"});
   }
   {
-    ModeledConfig c = with_trace(cfg, "batch32_2buf_2gpu");
+    ModeledConfig c = cfg;
     c.devices = 2;
     c.buffers_per_gpu = 2;
-    add(run_gpu_single_thread(map, c, GpuApi::kCuda, GpuMode::kBatched),
+    add(run_gpu_single_thread(map, with_trace(c, "batch32_2buf_2gpu"),
+                              GpuApi::kCuda, GpuMode::kBatched),
         {"3.02s", "132x"});
-    auto r = run_gpu_single_thread(map, c, GpuApi::kOpenCl, GpuMode::kBatched);
-    add(r, {"3.07s", "130x"});
+    add(run_gpu_single_thread(map, with_trace(c, "opencl_batch32_2buf_2gpu"),
+                              GpuApi::kOpenCl, GpuMode::kBatched),
+        {"3.07s", "130x"});
   }
 
   // Adaptive rows: the AIMD sizer discovers the batch size and multi-GPU
@@ -315,13 +317,16 @@ int run(int argc, const char** argv) {
           {"-", "-"});
     }
     {
-      ModeledConfig c = with_trace(cfg, "adaptive_2buf_2gpu");
+      ModeledConfig c = cfg;
       c.sched = sched::SchedMode::kAdaptive;
       c.devices = 2;
       c.buffers_per_gpu = 2;
-      add(run_gpu_single_thread(map, c, GpuApi::kCuda, GpuMode::kBatched),
+      add(run_gpu_single_thread(map, with_trace(c, "adaptive_2buf_2gpu"),
+                                GpuApi::kCuda, GpuMode::kBatched),
           {"-", "-"});
-      add(run_gpu_single_thread(map, c, GpuApi::kOpenCl, GpuMode::kBatched),
+      add(run_gpu_single_thread(
+              map, with_trace(c, "opencl_adaptive_2buf_2gpu"), GpuApi::kOpenCl,
+              GpuMode::kBatched),
           {"-", "-"});
     }
   }

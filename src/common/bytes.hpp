@@ -1,7 +1,9 @@
 // Little-endian byte codec of the binary formats: the dedup archive, the
 // LZSS container and DupStore segments write their integers with put_u32 /
-// put_u64 and read them back through one bounds-checked ByteReader. Each
-// format's record layout and checks stay in its own module.
+// put_u64 and read them back through one bounds-checked ByteReader. The
+// LZSS and Huffman decoders read their MSB-first bit streams through one
+// bounds-checked BitReader. Each format's record layout and checks stay in
+// its own module.
 #pragma once
 
 #include <cstddef>
@@ -66,6 +68,27 @@ class ByteReader {
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
+};
+
+/// Reads an MSB-first bit stream off a span. A read that would pass the
+/// end returns false and consumes nothing.
+class BitReader {
+ public:
+  explicit BitReader(std::span<const std::uint8_t> data) : data_(data) {}
+
+  /// The next `count` (at most 32) bits, the first read most significant.
+  bool bits(std::uint32_t count, std::uint32_t& value) {
+    if (count > data_.size() * 8 - pos_) return false;
+    value = 0;
+    for (std::uint32_t i = 0; i < count; ++i, ++pos_) {
+      value = (value << 1) | ((data_[pos_ / 8] >> (7 - pos_ % 8)) & 1u);
+    }
+    return true;
+  }
+
+ private:
+  std::span<const std::uint8_t> data_;
+  std::size_t pos_ = 0;  // in bits
 };
 
 }  // namespace hs

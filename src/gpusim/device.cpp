@@ -42,6 +42,9 @@ Status Device::free(void* ptr) {
     return InvalidArgument("free of pointer not allocated on this device");
   }
   memory_used_ -= it->second.size;
+  // cudaFree waits for the device: a body still running may touch the
+  // storage, so it outlives the device's last op in flight.
+  if (in_flight_ > 0) deferred_frees_.push_back(std::move(it->second.storage));
   allocations_.erase(it);
   return OkStatus();
 }
@@ -52,17 +55,21 @@ std::uint64_t Device::memory_used() const {
 }
 
 bool Device::owns_range(const void* ptr, std::uint64_t len) const {
-  // Caller may or may not hold the machine lock; this private-ish helper is
-  // also part of the public API for tests, so take the lock via a
-  // const_cast-free path: the map is only mutated under the lock, and this
-  // method is called from locked contexts internally. For external callers
-  // we lock here; recursive use is avoided internally by calling the
-  // unlocked lookup directly.
+  std::lock_guard<std::mutex> lock(machine_->mu());
+  return owns_range_locked(ptr, len);
+}
+
+bool Device::owns_range_locked(const void* ptr, std::uint64_t len) const {
   auto addr = reinterpret_cast<std::uintptr_t>(ptr);
   auto it = allocations_.upper_bound(addr);
   if (it == allocations_.begin()) return false;
   --it;
   return addr >= it->first && addr + len <= it->first + it->second.size;
+}
+
+std::uint32_t Device::ops_in_flight() const {
+  std::lock_guard<std::mutex> lock(machine_->mu());
+  return in_flight_;
 }
 
 StreamId Device::create_stream() {
@@ -94,74 +101,101 @@ std::size_t Device::stream_count() const {
   return stream_last_.size();
 }
 
-des::EngineId Device::engine_for(EngineKind kind) const {
+des::EngineId Device::engine_for(OpKind kind) const {
   if (!overlap_) return compute_engine_;  // ablation: serialize everything
   switch (kind) {
-    case EngineKind::kCompute: return compute_engine_;
-    case EngineKind::kH2D: return h2d_engine_;
-    case EngineKind::kD2H: return d2h_engine_;
+    case OpKind::kH2D: return h2d_engine_;
+    case OpKind::kD2H: return d2h_engine_;
+    default: return compute_engine_;
   }
-  return compute_engine_;
 }
 
-OpHandle Device::record_locked(StreamId stream, EngineKind kind,
-                               double duration) {
-  const char* label = kind == EngineKind::kCompute ? "kernel"
-                      : kind == EngineKind::kH2D   ? "h2d"
-                                                   : "d2h";
+Status Device::reserve_locked(OpKind kind) {
+  const FaultSite site = kind == OpKind::kH2D   ? FaultSite::kH2D
+                         : kind == OpKind::kD2H ? FaultSite::kD2H
+                                                : FaultSite::kLaunch;
+  if (Status s = fault_check_locked(site); !s.ok()) return s;
+  ++in_flight_;
+  return OkStatus();
+}
+
+void Device::end_op_locked() {
+  if (--in_flight_ == 0) deferred_frees_.clear();
+}
+
+Result<OpHandle> Device::commit_locked(OpKind kind, StreamId stream,
+                                       OpCost cost) {
+  if (lost_) {
+    return Unavailable("device " + std::to_string(index_) +
+                       " lost while an operation ran");
+  }
+  switch (kind) {
+    case OpKind::kKernel:
+      counters_.kernels_launched += 1;
+      counters_.warps_executed += cost.units;
+      break;
+    case OpKind::kH2D:
+      counters_.h2d_copies += 1;
+      counters_.h2d_bytes += cost.units;
+      break;
+    case OpKind::kD2H:
+      counters_.d2h_copies += 1;
+      counters_.d2h_bytes += cost.units;
+      break;
+    case OpKind::kD2D:
+    case OpKind::kMemset:
+      break;
+  }
+  const char* label = kind == OpKind::kH2D   ? "h2d"
+                      : kind == OpKind::kD2H ? "d2h"
+                                             : "kernel";
   des::TaskId& last = stream_last_[stream];
-  last = machine_->tl().submit(engine_for(kind), duration, {&last, 1}, label);
+  last = machine_->tl().submit(engine_for(kind), cost.seconds, {&last, 1},
+                               label);
   return OpHandle{last};
 }
 
 Result<OpHandle> Device::memcpy_impl(void* dst, const void* src,
                                      std::uint64_t bytes, StreamId stream,
                                      CopyDir dir, HostMem host_mem) {
-  std::lock_guard<std::mutex> lock(machine_->mu());
-  if (stream >= stream_last_.size()) return InvalidArgument("unknown stream id");
-  if (bytes == 0) return InvalidArgument("zero-byte memcpy");
-
-  switch (dir) {
-    case CopyDir::kHostToDevice:
-      if (!owns_range(dst, bytes)) {
-        return OutOfRange("h2d destination outside device allocations");
-      }
-      if (owns_range(src, bytes)) {
-        return InvalidArgument("h2d source is device memory");
-      }
-      counters_.h2d_copies += 1;
-      counters_.h2d_bytes += bytes;
-      break;
-    case CopyDir::kDeviceToHost:
-      if (!owns_range(src, bytes)) {
-        return OutOfRange("d2h source outside device allocations");
-      }
-      if (owns_range(dst, bytes)) {
-        return InvalidArgument("d2h destination is device memory");
-      }
-      counters_.d2h_copies += 1;
-      counters_.d2h_bytes += bytes;
-      break;
-    case CopyDir::kDeviceToDevice:
-      if (!owns_range(src, bytes) || !owns_range(dst, bytes)) {
-        return OutOfRange("d2d range outside device allocations");
-      }
-      break;
-  }
-
-  const FaultSite site = dir == CopyDir::kHostToDevice ? FaultSite::kH2D
-                         : dir == CopyDir::kDeviceToHost ? FaultSite::kD2H
-                                                         : FaultSite::kLaunch;
-  if (Status s = fault_check_locked(site); !s.ok()) return s;
-
-  // Functional execution happens immediately; virtual timing is modeled.
-  std::memmove(dst, src, bytes);
-
-  double duration = copy_duration_seconds(spec_, dir, host_mem, bytes);
-  EngineKind kind = dir == CopyDir::kHostToDevice ? EngineKind::kH2D
-                    : dir == CopyDir::kDeviceToHost ? EngineKind::kD2H
-                                                    : EngineKind::kCompute;
-  return record_locked(stream, kind, duration);
+  const OpKind kind = dir == CopyDir::kHostToDevice   ? OpKind::kH2D
+                      : dir == CopyDir::kDeviceToHost ? OpKind::kD2H
+                                                      : OpKind::kD2D;
+  return run_op(
+      kind, stream,
+      [&]() -> Status {
+        if (bytes == 0) return InvalidArgument("zero-byte memcpy");
+        switch (dir) {
+          case CopyDir::kHostToDevice:
+            if (!owns_range_locked(dst, bytes)) {
+              return OutOfRange("h2d destination outside device allocations");
+            }
+            if (owns_range_locked(src, bytes)) {
+              return InvalidArgument("h2d source is device memory");
+            }
+            break;
+          case CopyDir::kDeviceToHost:
+            if (!owns_range_locked(src, bytes)) {
+              return OutOfRange("d2h source outside device allocations");
+            }
+            if (owns_range_locked(dst, bytes)) {
+              return InvalidArgument("d2h destination is device memory");
+            }
+            break;
+          case CopyDir::kDeviceToDevice:
+            if (!owns_range_locked(src, bytes) ||
+                !owns_range_locked(dst, bytes)) {
+              return OutOfRange("d2d range outside device allocations");
+            }
+            break;
+        }
+        return OkStatus();
+      },
+      [&] {
+        std::memmove(dst, src, bytes);
+        return OpCost{copy_duration_seconds(spec_, dir, host_mem, bytes),
+                      bytes};
+      });
 }
 
 Result<OpHandle> Device::memcpy_h2d(void* dst, const void* src,
@@ -184,18 +218,21 @@ Result<OpHandle> Device::memcpy_d2d(void* dst, const void* src,
 
 Result<OpHandle> Device::memset(void* dst, int value, std::uint64_t bytes,
                                 StreamId stream) {
-  std::lock_guard<std::mutex> lock(machine_->mu());
-  if (stream >= stream_last_.size()) return InvalidArgument("unknown stream id");
-  if (bytes == 0) return InvalidArgument("zero-byte memset");
-  if (!owns_range(dst, bytes)) {
-    return OutOfRange("memset range outside device allocations");
-  }
-  if (Status s = fault_check_locked(FaultSite::kLaunch); !s.ok()) return s;
-  std::memset(dst, value, bytes);
-  // On-device fill at ~memory bandwidth (same model as d2d copies).
-  double duration = copy_duration_seconds(spec_, CopyDir::kDeviceToDevice,
-                                          HostMem::kPinned, bytes);
-  return record_locked(stream, EngineKind::kCompute, duration);
+  return run_op(
+      OpKind::kMemset, stream,
+      [&]() -> Status {
+        if (bytes == 0) return InvalidArgument("zero-byte memset");
+        if (!owns_range_locked(dst, bytes)) {
+          return OutOfRange("memset range outside device allocations");
+        }
+        return OkStatus();
+      },
+      [&] {
+        std::memset(dst, value, bytes);
+        // On-device fill at ~memory bandwidth (same model as d2d copies).
+        return OpCost{copy_duration_seconds(spec_, CopyDir::kDeviceToDevice,
+                                            HostMem::kPinned, bytes)};
+      });
 }
 
 Status Device::validate_launch(const Dim3& grid, const Dim3& block,

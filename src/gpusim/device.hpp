@@ -9,9 +9,27 @@
 // real, bit-exact), while durations are charged onto a shared discrete-event
 // Timeline; synchronization calls return virtual completion times.
 //
-// Thread safety: all enqueue/sync entry points lock the owning Machine, so
-// multicore runtimes (flow/taskx/spar) can drive devices from many worker
-// threads, as the paper's combined versions do.
+// Thread safety: every entry point locks the owning Machine, so multicore
+// runtimes (flow/taskx/spar) can drive devices from many worker threads, as
+// the paper's combined versions do. An operation with a functional body (a
+// kernel, a copy, a memset) holds the lock only around its bookkeeping, in
+// three steps:
+//
+//   reserve (locked)   validate the arguments and the stream, consult the
+//                      fault plan, and count the op in flight on its device;
+//   execute (unlocked) run the body (every simulated thread of a kernel,
+//                      the memmove, the fill) and compute its duration;
+//   commit  (locked)   drop the in-flight count, then count the op and
+//                      record it on the timeline.
+//
+// So workers on two devices, or on two streams of one device, compute
+// concurrently, and concurrent ops reach the timeline in commit order.
+// free() on a device with ops in flight lowers memory_used() at once but
+// keeps the storage until the device's in-flight count reaches zero, so a
+// running body never touches freed memory. A device lost while a body runs
+// (mark_lost, or a fault plan's loss fired by another op) fails that op at
+// commit with kUnavailable, counting and recording nothing; the device
+// ladder then re-runs the op's idempotent pass elsewhere.
 #pragma once
 
 #include <cstdint>
@@ -98,6 +116,8 @@ class Device {
   }
   /// True when [ptr, ptr+len) lies inside a single live device allocation.
   [[nodiscard]] bool owns_range(const void* ptr, std::uint64_t len) const;
+  /// Operations whose bodies are running: reserved, not yet committed.
+  [[nodiscard]] std::uint32_t ops_in_flight() const;
 
   // --- streams -----------------------------------------------------------
   StreamId default_stream() const { return 0; }
@@ -176,20 +196,48 @@ class Device {
  private:
   friend class Machine;
 
-  enum class EngineKind : std::uint8_t { kCompute, kH2D, kD2H };
+  /// The operations with a functional body. Kernels, D2D copies and
+  /// memsets run on the compute engine and fault at the launch site.
+  enum class OpKind : std::uint8_t { kKernel, kH2D, kD2H, kD2D, kMemset };
+
+  /// What an op's body hands to its commit: modeled seconds, and the
+  /// warps a kernel executed or the bytes a copy moved.
+  struct OpCost {
+    double seconds = 0;
+    std::uint64_t units = 0;
+  };
+
+  /// Runs one op in the three steps of "Thread safety" above: `check`
+  /// validates its arguments under the lock, `body` executes it unlocked
+  /// and returns its OpCost. The in-flight count drops even if `body`
+  /// throws.
+  template <typename Check, typename Body>
+  Result<OpHandle> run_op(OpKind kind, StreamId stream, Check&& check,
+                          Body&& body);
+  /// Reserve step after the stream and `check`: consults the fault plan
+  /// and counts the op in flight. Caller must hold the machine lock.
+  Status reserve_locked(OpKind kind);
+  /// Drops one in-flight count; the last one out releases deferred frees.
+  /// Caller must hold the machine lock.
+  void end_op_locked();
+  /// Commit step after end_op_locked: kUnavailable if the device was lost
+  /// while the body ran, else counts the op and records it on its engine,
+  /// chained after the stream's previous op. Caller must hold the machine
+  /// lock.
+  Result<OpHandle> commit_locked(OpKind kind, StreamId stream, OpCost cost);
 
   Status validate_launch(const Dim3& grid, const Dim3& block,
                          const KernelAttributes& attrs) const;
+  /// owns_range for callers that hold the machine lock.
+  [[nodiscard]] bool owns_range_locked(const void* ptr,
+                                       std::uint64_t len) const;
   /// Consults the fault plan (and lost flag) for one operation. Caller must
   /// hold the machine lock. Ordered after argument validation so genuine
   /// programming errors surface even under an aggressive plan.
   Status fault_check_locked(FaultSite site);
   Result<OpHandle> memcpy_impl(void* dst, const void* src, std::uint64_t bytes,
                                StreamId stream, CopyDir dir, HostMem host_mem);
-  /// Records an operation of `duration` on `kind`'s engine, chained after
-  /// the stream's previous op. Caller must hold the machine lock.
-  OpHandle record_locked(StreamId stream, EngineKind kind, double duration);
-  [[nodiscard]] des::EngineId engine_for(EngineKind kind) const;
+  [[nodiscard]] des::EngineId engine_for(OpKind kind) const;
 
   Machine* machine_;
   std::uint32_t index_;
@@ -208,6 +256,9 @@ class Device {
   };
   std::map<std::uintptr_t, Allocation> allocations_;
   std::uint64_t memory_used_ = 0;
+  std::uint32_t in_flight_ = 0;  // ops between reserve and commit
+  // Storage freed while ops were in flight, released when none are.
+  std::vector<std::unique_ptr<std::uint8_t[]>> deferred_frees_;
 
   std::vector<des::TaskId> stream_last_;  // per-stream chain tail
   std::vector<StreamId> free_streams_;     // destroyed, reused first
@@ -255,8 +306,6 @@ class Machine {
 
   [[nodiscard]] double makespan() const;
 
-  std::mutex& mutex() { return mu(); }
-
  private:
   friend class Device;
 
@@ -275,49 +324,71 @@ class Machine {
 
 // ---- template implementation ----------------------------------------------
 
+template <typename Check, typename Body>
+Result<OpHandle> Device::run_op(OpKind kind, StreamId stream, Check&& check,
+                                Body&& body) {
+  std::unique_lock<std::mutex> lock(machine_->mu());
+  if (stream >= stream_last_.size()) return InvalidArgument("unknown stream id");
+  if (Status s = check(); !s.ok()) return s;
+  if (Status s = reserve_locked(kind); !s.ok()) return s;
+  OpCost cost;
+  {
+    // Ends the op on every exit from this scope, relocking if `body` threw.
+    struct EndOp {
+      Device& device;
+      std::unique_lock<std::mutex>& lock;
+      ~EndOp() {
+        if (!lock.owns_lock()) lock.lock();
+        device.end_op_locked();
+      }
+    } end_op{*this, lock};
+    lock.unlock();
+    cost = body();
+    lock.lock();
+  }
+  return commit_locked(kind, stream, cost);
+}
+
 template <typename F>
 Result<OpHandle> Device::launch(const Dim3& grid, const Dim3& block,
                                 const KernelAttributes& attrs, StreamId stream,
                                 F&& body) {
-  std::lock_guard<std::mutex> lock(machine_->mu());
-  if (Status s = validate_launch(grid, block, attrs); !s.ok()) return s;
-  if (stream >= stream_last_.size()) {
-    return InvalidArgument("unknown stream id");
-  }
-  if (Status s = fault_check_locked(FaultSite::kLaunch); !s.ok()) return s;
-
-  WarpCostAccumulator acc(spec_.warp_size, divergence_);
-  ThreadCtx ctx;
-  ctx.grid_dim = grid;
-  ctx.block_dim = block;
-  for (std::uint32_t bz = 0; bz < grid.z; ++bz) {
-    for (std::uint32_t by = 0; by < grid.y; ++by) {
-      for (std::uint32_t bx = 0; bx < grid.x; ++bx) {
-        ctx.block_idx = Dim3{bx, by, bz};
-        // Linearized thread order within a block: x fastest, then y, then z
-        // (matches CUDA warp lane assignment).
-        for (std::uint32_t tz = 0; tz < block.z; ++tz) {
-          for (std::uint32_t ty = 0; ty < block.y; ++ty) {
-            for (std::uint32_t tx = 0; tx < block.x; ++tx) {
-              ctx.thread_idx = Dim3{tx, ty, tz};
-              if constexpr (std::is_void_v<decltype(body(ctx))>) {
-                body(ctx);
-                acc.add_lane(1.0);
-              } else {
-                acc.add_lane(static_cast<double>(body(ctx)));
+  return run_op(
+      OpKind::kKernel, stream,
+      [&] { return validate_launch(grid, block, attrs); },
+      [&] {
+        WarpCostAccumulator acc(spec_.warp_size, divergence_);
+        ThreadCtx ctx;
+        ctx.grid_dim = grid;
+        ctx.block_dim = block;
+        for (std::uint32_t bz = 0; bz < grid.z; ++bz) {
+          for (std::uint32_t by = 0; by < grid.y; ++by) {
+            for (std::uint32_t bx = 0; bx < grid.x; ++bx) {
+              ctx.block_idx = Dim3{bx, by, bz};
+              // Linearized thread order within a block: x fastest, then y,
+              // then z (matches CUDA warp lane assignment).
+              for (std::uint32_t tz = 0; tz < block.z; ++tz) {
+                for (std::uint32_t ty = 0; ty < block.y; ++ty) {
+                  for (std::uint32_t tx = 0; tx < block.x; ++tx) {
+                    ctx.thread_idx = Dim3{tx, ty, tz};
+                    if constexpr (std::is_void_v<decltype(body(ctx))>) {
+                      body(ctx);
+                      acc.add_lane(1.0);
+                    } else {
+                      acc.add_lane(static_cast<double>(body(ctx)));
+                    }
+                  }
+                }
               }
+              acc.end_block();
             }
           }
         }
-        acc.end_block();
-      }
-    }
-  }
-  std::vector<double> warp_costs = acc.take_warp_costs();
-  counters_.kernels_launched += 1;
-  counters_.warps_executed += warp_costs.size();
-  double duration = kernel_duration_seconds(spec_, attrs, block, warp_costs);
-  return record_locked(stream, EngineKind::kCompute, duration);
+        std::vector<double> warp_costs = acc.take_warp_costs();
+        return OpCost{
+            kernel_duration_seconds(spec_, attrs, block, warp_costs),
+            warp_costs.size()};
+      });
 }
 
 }  // namespace hs::gpusim

@@ -5,6 +5,8 @@
 #include <cassert>
 #include <queue>
 
+#include "common/bytes.hpp"
+
 namespace hs::kernels {
 
 namespace {
@@ -38,21 +40,6 @@ class BitWriter {
   std::vector<std::uint8_t> bytes_;
   std::uint8_t current_ = 0;
   std::uint32_t filled_ = 0;
-};
-
-class BitReader {
- public:
-  explicit BitReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-  bool get_bit(std::uint32_t& bit) {
-    if (pos_ >= bytes_.size() * 8) return false;
-    bit = (bytes_[pos_ / 8] >> (7 - pos_ % 8)) & 1u;
-    ++pos_;
-    return true;
-  }
-
- private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
 };
 
 /// Canonical code assignment from lengths: shorter first, ties by symbol.
@@ -223,7 +210,7 @@ Result<std::vector<std::uint8_t>> huffman_decode(
   std::vector<std::uint8_t> out;
   out.reserve(std::min<std::size_t>(original_size,
                                     (compressed.size() - kSymbols / 2) * 8));
-  BitReader bits(compressed.subspan(kSymbols / 2));
+  BitReader in(compressed.subspan(kSymbols / 2));
   while (out.size() < original_size) {
     std::uint16_t code = 0;
     int len = 0;
@@ -231,7 +218,7 @@ Result<std::vector<std::uint8_t>> huffman_decode(
     bool found = false;
     while (len < kMaxLen) {
       std::uint32_t bit = 0;
-      if (!bits.get_bit(bit)) {
+      if (!in.bits(1, bit)) {
         return DataLoss("huffman stream truncated mid-code");
       }
       code = static_cast<std::uint16_t>((code << 1) | bit);

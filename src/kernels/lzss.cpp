@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "common/bytes.hpp"
 #include "kernels/simd/lzss_chain.hpp"
 #include "kernels/simd/lzss_match.hpp"
 
@@ -64,35 +65,6 @@ class BitWriter {
   Sink& sink_;
   std::uint64_t acc_ = 0;
   std::uint32_t filled_ = 0;
-};
-
-/// MSB-first bit reader.
-class BitReader {
- public:
-  explicit BitReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  bool get_bit(bool& bit) {
-    if (pos_ >= bytes_.size() * 8) return false;
-    std::size_t byte = pos_ / 8;
-    std::size_t off = pos_ % 8;
-    bit = ((bytes_[byte] >> (7 - off)) & 1u) != 0;
-    ++pos_;
-    return true;
-  }
-
-  bool get_bits(std::uint32_t count, std::uint32_t& value) {
-    value = 0;
-    for (std::uint32_t i = 0; i < count; ++i) {
-      bool bit = false;
-      if (!get_bit(bit)) return false;
-      value = (value << 1) | (bit ? 1u : 0u);
-    }
-    return true;
-  }
-
- private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
 };
 
 }  // namespace
@@ -305,20 +277,20 @@ Result<std::vector<std::uint8_t>> lzss_decode(
       original_size, compressed.size() * 8 / 9 * params.max_match));
   BitReader in(compressed);
   while (out.size() < original_size) {
-    bool literal = false;
-    if (!in.get_bit(literal)) {
+    std::uint32_t literal = 0;
+    if (!in.bits(1, literal)) {
       return DataLoss("LZSS stream truncated before expected output size");
     }
-    if (literal) {
+    if (literal != 0) {
       std::uint32_t byte = 0;
-      if (!in.get_bits(8, byte)) {
+      if (!in.bits(8, byte)) {
         return DataLoss("LZSS stream truncated inside a literal");
       }
       out.push_back(static_cast<std::uint8_t>(byte));
     } else {
       std::uint32_t offset_m1 = 0, len_m = 0;
-      if (!in.get_bits(LzssParams::kOffsetBits, offset_m1) ||
-          !in.get_bits(LzssParams::kLengthBits, len_m)) {
+      if (!in.bits(LzssParams::kOffsetBits, offset_m1) ||
+          !in.bits(LzssParams::kLengthBits, len_m)) {
         return DataLoss("LZSS stream truncated inside a match");
       }
       std::size_t offset = offset_m1 + 1;

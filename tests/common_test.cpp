@@ -218,6 +218,24 @@ TEST(BytesTest, ReaderNeverPassesTheEnd) {
   EXPECT_FALSE(r.u8(v8));
 }
 
+TEST(BytesTest, BitReaderReadsMsbFirstAndNeverPassesTheEnd) {
+  const std::vector<std::uint8_t> buf = {0b1011'0010, 0xFF};
+  BitReader r(buf);
+  std::uint32_t v = 0;
+  ASSERT_TRUE(r.bits(1, v));
+  EXPECT_EQ(v, 1u);
+  ASSERT_TRUE(r.bits(3, v));
+  EXPECT_EQ(v, 0b011u);
+  v = 7;
+  EXPECT_FALSE(r.bits(13, v));  // 12 bits left
+  EXPECT_EQ(v, 7u);
+  ASSERT_TRUE(r.bits(12, v));  // failed reads consume nothing
+  EXPECT_EQ(v, 0b0010'1111'1111u);
+  EXPECT_FALSE(r.bits(1, v));
+  EXPECT_TRUE(r.bits(0, v));
+  EXPECT_EQ(v, 0u);
+}
+
 TEST(FormatTest, FormatSeconds) {
   EXPECT_EQ(format_seconds(400.0), "400.00s");
   EXPECT_EQ(format_seconds(0.129), "129.00ms");

@@ -1,7 +1,11 @@
 // Tests for the CUDA-style shim: thread-local device state, pinned-memory
-// semantics of async copies, streams/events, kernel launches.
+// semantics of async copies, streams/events, kernel launches, and host
+// workers on two devices running their kernels at once.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -319,6 +323,35 @@ TEST_F(CudaxTest, MultiGpuRoundRobinPattern) {
   double t0 = machine_->device(0).sync_all();
   double t1 = machine_->device(1).sync_all();
   EXPECT_NEAR(machine_->makespan(), std::max(t0, t1), 1e-12);
+}
+
+TEST_F(CudaxTest, WorkersOnTwoDevicesRunKernelsAtOnce) {
+  // The paper's combined versions: one host worker per GPU. Each body
+  // waits (at most 5 s) for the other device's body to start.
+  std::mutex mu;
+  std::condition_variable cv;
+  int started = 0;
+  bool met[2] = {false, false};
+  cudaError err[2] = {cudaError::cudaSuccess, cudaError::cudaSuccess};
+  std::vector<std::thread> workers;
+  for (int d = 0; d < 2; ++d) {
+    workers.emplace_back([&, d] {
+      (void)cudaSetDevice(d);
+      err[d] = launch_kernel(
+          Dim3{1, 1, 1}, Dim3{1, 1, 1}, cudaStream_t{}, [&](const ThreadCtx&) {
+            std::unique_lock<std::mutex> lock(mu);
+            if (++started == 2) cv.notify_all();
+            met[d] = cv.wait_for(lock, std::chrono::seconds(5),
+                                 [&] { return started == 2; });
+          });
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  for (int d = 0; d < 2; ++d) {
+    EXPECT_EQ(err[d], cudaError::cudaSuccess);
+    EXPECT_TRUE(met[d]) << "device " << d;
+    EXPECT_EQ(machine_->device(d).counters().kernels_launched, 1u);
+  }
 }
 
 TEST_F(CudaxTest, DevicePropertiesMatchSpec) {

@@ -13,6 +13,8 @@
 #include <functional>
 #include <optional>
 #include <ostream>
+#include <stop_token>
+#include <thread>
 
 #include "common/retry.hpp"
 #include "cudax/cudax.hpp"
@@ -226,6 +228,23 @@ TEST(RetryTest, ExhaustsAfterMaxAttempts) {
   EXPECT_EQ(stats.exhausted.load(), 1u);
 }
 
+/// Runs `run` while a watcher marks `device` lost as soon as one of its ops
+/// is in flight, so the loss usually lands while a kernel or copy body runs
+/// and that op fails at commit; the device ladder must re-run its pass.
+template <typename Run>
+auto run_losing_mid_op(gpusim::Device& device, Run run) {
+  std::jthread watcher([&device](std::stop_token stop) {
+    while (!stop.stop_requested()) {
+      if (device.ops_in_flight() > 0) {
+        device.mark_lost();
+        return;
+      }
+      std::this_thread::yield();
+    }
+  });
+  return run();
+}
+
 // ---- acceptance: mandel under faults ----------------------------------------------
 
 class MandelFaultTest : public ::testing::Test {
@@ -279,6 +298,23 @@ TEST_F(MandelFaultTest, StickyDeviceLossMigratesToSurvivor) {
   // CPU during the loss window); either way the survivor did real work.
   EXPECT_GT(stats.device_switches.load() + stats.cpu_fallbacks.load(), 0u);
   EXPECT_GT(machine->device(1).counters().kernels_launched, 0u);
+}
+
+TEST_F(MandelFaultTest, DeviceLostWhileABodyRunsMigratesBitExactly) {
+  auto machine = gpusim::Machine::Create(2, gpusim::DeviceSpec::TitanXP());
+  cudax::bind_machine(machine.get());
+  RetryStats stats;
+  auto r = run_losing_mid_op(machine->device(0), [&] {
+    return mandel::render_spar_cuda(params_, 4, *machine, &stats);
+  });
+  cudax::unbind_machine();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value(), reference_);
+  EXPECT_TRUE(machine->device(0).lost());
+  EXPECT_FALSE(machine->device(1).lost());
+  EXPECT_GT(stats.device_losses.load(), 0u);
+  EXPECT_EQ(machine->device(0).ops_in_flight(), 0u);
+  EXPECT_EQ(machine->device(1).ops_in_flight(), 0u);
 }
 
 TEST_F(MandelFaultTest, AllDevicesLostFallsBackToCpu) {
@@ -402,6 +438,21 @@ TEST_F(DedupFaultTest, DeviceLossMidArchiveStaysBitExact) {
   auto back = dedup::extract(r.value());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value(), input_);
+}
+
+TEST_F(DedupFaultTest, DeviceLostWhileABodyRunsStaysBitExact) {
+  auto machine = gpusim::Machine::Create(2, gpusim::DeviceSpec::TitanXP());
+  cudax::bind_machine(machine.get());
+  RetryStats stats;
+  auto r = run_losing_mid_op(machine->device(0), [&] {
+    return dedup::archive_spar_cuda(input_, cfg_, 4, *machine, &stats);
+  });
+  cudax::unbind_machine();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value(), reference_);
+  EXPECT_TRUE(machine->device(0).lost());
+  EXPECT_GT(stats.device_losses.load(), 0u);
+  EXPECT_EQ(machine->device(0).ops_in_flight(), 0u);
 }
 
 // ---- device work of every fault-free functional GPU path -----------------------

@@ -1,9 +1,16 @@
 // Unit + property tests for the simulated GPU: occupancy, cost model,
-// memory accounting, stream semantics, copy/compute overlap, multi-device.
+// memory accounting, stream semantics, copy/compute overlap, multi-device,
+// and kernel bodies running outside the machine lock.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "gpusim/cost_model.hpp"
@@ -471,6 +478,159 @@ TEST(DeviceTest, ComputeBusySecondsTracksKernels) {
   double busy = dev.compute_busy_seconds();
   EXPECT_GT(busy, 0.0);
   EXPECT_LE(busy, machine->makespan() + 1e-12);
+}
+
+// ---- bodies run outside the machine lock ---------------------------------------
+
+/// Two kernel bodies meet here. Each waits at most 5 s for the other, so
+/// bodies that cannot run side by side fail the test instead of hanging it.
+class Rendezvous {
+ public:
+  bool arrive_and_wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (++arrived_ == 2) cv_.notify_all();
+    return cv_.wait_for(lock, std::chrono::seconds(5),
+                        [this] { return arrived_ == 2; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int arrived_ = 0;
+};
+
+/// Spins until `flag` is set; false after 5 s.
+bool wait_for(const std::atomic<bool>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!flag.load()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+/// A one-thread kernel on `stream` whose body meets another launch's body
+/// at `meet`: true when the launch succeeded and the bodies met.
+bool launch_and_meet(Device& dev, StreamId stream, Rendezvous& meet) {
+  bool met = false;
+  auto r = dev.launch(Dim3{1, 1, 1}, Dim3{1, 1, 1}, {}, stream,
+                      [&](const ThreadCtx&) { met = meet.arrive_and_wait(); });
+  return r.ok() && met;
+}
+
+void expect_bodies_meet(Device& a, StreamId stream_a, Device& b,
+                        StreamId stream_b) {
+  Rendezvous meet;
+  bool met_b = false;
+  std::thread other([&] { met_b = launch_and_meet(b, stream_b, meet); });
+  const bool met_a = launch_and_meet(a, stream_a, meet);
+  other.join();
+  EXPECT_TRUE(met_a);
+  EXPECT_TRUE(met_b);
+}
+
+TEST(ConcurrentBodyTest, KernelBodiesOnTwoDevicesRunTogether) {
+  auto machine = Machine::Create(2, titan());
+  expect_bodies_meet(machine->device(0), 0, machine->device(1), 0);
+  EXPECT_EQ(machine->device(0).counters().kernels_launched, 1u);
+  EXPECT_EQ(machine->device(1).counters().kernels_launched, 1u);
+}
+
+TEST(ConcurrentBodyTest, KernelBodiesOnTwoStreamsOfOneDeviceRunTogether) {
+  auto machine = Machine::Create(1, titan());
+  Device& dev = machine->device(0);
+  const StreamId stream = dev.create_stream();
+  expect_bodies_meet(dev, dev.default_stream(), dev, stream);
+  EXPECT_EQ(dev.counters().kernels_launched, 2u);
+  EXPECT_GT(dev.sync_stream(dev.default_stream()).value(), 0.0);
+  EXPECT_GT(dev.sync_stream(stream).value(), 0.0);
+}
+
+TEST(ConcurrentBodyTest, FreeDuringABodyKeepsTheStorageUntilCommit) {
+  auto machine = Machine::Create(1, titan());
+  Device& dev = machine->device(0);
+  constexpr std::uint64_t kBytes = 4096;
+  auto p = dev.malloc(kBytes);
+  ASSERT_TRUE(p.ok());
+  auto* buf = static_cast<std::uint8_t*>(p.value());
+  std::atomic<bool> running{false};
+  std::atomic<bool> freed{false};
+  Status launched = Internal("not run");
+  std::jthread worker([&] {
+    launched = dev.launch(Dim3{1, 1, 1}, Dim3{1, 1, 1}, {}, 0,
+                          [&](const ThreadCtx&) {
+                            running = true;
+                            (void)wait_for(freed);
+                            // Sanitized builds catch a write to freed memory.
+                            std::memset(buf, 0x5a, kBytes);
+                          })
+                   .status();
+  });
+  EXPECT_TRUE(wait_for(running));
+  EXPECT_TRUE(dev.free(buf).ok());
+  EXPECT_EQ(dev.memory_used(), 0u);  // the accounting drops at once
+  EXPECT_FALSE(dev.owns_range(buf, 1));
+  EXPECT_EQ(dev.ops_in_flight(), 1u);
+  freed = true;
+  worker.join();
+  EXPECT_TRUE(launched.ok()) << launched.ToString();
+  EXPECT_EQ(dev.ops_in_flight(), 0u);  // committed: the storage is gone
+  EXPECT_EQ(dev.counters().kernels_launched, 1u);
+}
+
+TEST(ConcurrentBodyTest, DeviceLostWhileABodyRunsFailsAtCommit) {
+  auto machine = Machine::Create(1, titan());
+  Device& dev = machine->device(0);
+  ASSERT_TRUE(dev.launch(Dim3{4, 1, 1}, Dim3{32, 1, 1}, {}, 0,
+                         [](const ThreadCtx&) {})
+                  .ok());
+  const DeviceCounters before = dev.counters();
+  const double busy = dev.compute_busy_seconds();
+  const double tail = dev.sync_all();
+  std::atomic<bool> running{false};
+  std::atomic<bool> lost{false};
+  Status launched;
+  std::jthread worker([&] {
+    launched = dev.launch(Dim3{4, 1, 1}, Dim3{32, 1, 1}, {}, 0,
+                          [&](const ThreadCtx&) {
+                            running = true;
+                            (void)wait_for(lost);
+                          })
+                   .status();
+  });
+  EXPECT_TRUE(wait_for(running));
+  dev.mark_lost();
+  lost = true;
+  worker.join();
+  EXPECT_EQ(launched.code(), ErrorCode::kUnavailable) << launched.ToString();
+  // Nothing of the failed launch is counted or recorded.
+  EXPECT_EQ(dev.counters().kernels_launched, before.kernels_launched);
+  EXPECT_EQ(dev.counters().warps_executed, before.warps_executed);
+  EXPECT_EQ(dev.compute_busy_seconds(), busy);
+  EXPECT_EQ(dev.sync_all(), tail);
+  EXPECT_EQ(dev.ops_in_flight(), 0u);
+}
+
+TEST(ConcurrentBodyTest, ThrowingBodyEndsItsOp) {
+  auto machine = Machine::Create(1, titan());
+  Device& dev = machine->device(0);
+  EXPECT_THROW((void)dev.launch(Dim3{1, 1, 1}, Dim3{32, 1, 1}, {}, 0,
+                                [](const ThreadCtx& ctx) {
+                                  if (ctx.thread_idx.x == 7) {
+                                    throw std::runtime_error("body failed");
+                                  }
+                                }),
+               std::runtime_error);
+  EXPECT_EQ(dev.ops_in_flight(), 0u);
+  EXPECT_EQ(dev.counters().kernels_launched, 0u);
+  EXPECT_EQ(dev.compute_busy_seconds(), 0.0);
+  // The lock was released and the device still works.
+  auto p = dev.malloc(64);
+  ASSERT_TRUE(p.ok());
+  EXPECT_TRUE(dev.memset(p.value(), 0, 64, 0).ok());
+  EXPECT_TRUE(dev.free(p.value()).ok());
+  EXPECT_EQ(dev.memory_used(), 0u);
 }
 
 }  // namespace
