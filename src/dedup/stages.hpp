@@ -20,6 +20,7 @@
 #include "dedup/types.hpp"
 #include "kernels/lzss.hpp"
 #include "kernels/sha1.hpp"
+#include "kernels/simd/sha1_ni.hpp"
 
 namespace hs::dedup {
 
@@ -93,11 +94,13 @@ std::uint64_t batch_output_bytes(const Batch& batch);
 /// Stage 2 lane: SHA-1 of block `b` of `batch`, read from `data` (the
 /// batch bytes as the device holds them) and written to digests + 20*b.
 /// Returns the lane cost: SHA-1 rounds of the block, so warp divergence
-/// follows the variable rabin block sizes.
+/// follows the variable rabin block sizes. The body runs on the host, so it
+/// hashes with the host's fastest single stream (SHA-NI when present, the
+/// same digest as the scalar context); the modeled cost does not change.
 inline std::uint64_t sha1_lane(const Batch& batch, const std::uint8_t* data,
                                std::size_t b, std::uint8_t* digests) {
   const BlockInfo& block = batch.blocks[b];
-  const kernels::Sha1Digest digest = kernels::Sha1::hash(
+  const kernels::Sha1Digest digest = kernels::simd::sha1_hash_fast(
       std::span<const std::uint8_t>(data + block.start, block.len));
   std::memcpy(digests + b * digest.size(), digest.data(), digest.size());
   return kernels::Sha1::compression_rounds(block.len) * 100;

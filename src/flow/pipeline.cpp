@@ -111,9 +111,25 @@ class Channel {
       if (state_->aborted()) return false;
       wait(cv_not_full_, backoff);
     }
+    ++pushed_;
     state_->tick();
     if (mode_ == WaitMode::kBlocking) cv_not_empty_.notify_one();
     return true;
+  }
+
+  /// Producer only: envelopes pushed that the consumer has not finished
+  /// handling — queued, popped into its burst, or in its svc(). The
+  /// least-loaded router balances on this, not on depth(): a worker that
+  /// drained its queue into a burst, or is still serving its last item,
+  /// is busy though its queue is empty.
+  [[nodiscard]] std::uint64_t pending() const {
+    return pushed_ - handled_.load(std::memory_order_acquire);
+  }
+
+  /// Consumer only: one popped envelope is fully handled.
+  void mark_handled() {
+    handled_.store(handled_.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_release);
   }
 
   /// Instantaneous depth/capacity for the telemetry queue sampler.
@@ -172,12 +188,16 @@ class Channel {
   }
 
   SpscQueue<Envelope> queue_;
+  std::uint64_t pushed_ = 0;  // producer-owned
   WaitMode mode_;
   RunState* state_;
   telemetry::Counter* full_counter_;
   std::mutex cv_mu_;
   std::condition_variable cv_not_empty_;
   std::condition_variable cv_not_full_;
+  // Consumer-written, on a line of its own so the producer's fields stay
+  // put in its cache.
+  alignas(64) std::atomic<std::uint64_t> handled_{0};
 };
 
 using Clock = std::chrono::steady_clock;
@@ -300,16 +320,17 @@ class Router final : public OutPort {
     const std::size_t n = active_outs();
     if (n == 1) return outs_[0]->push(std::move(env));
     if (policy_ == SchedPolicy::kLeastLoaded) {
-      // Route to the shallowest queue (ties to the lowest index): a worker
-      // sitting on a deep queue is never fed while an emptier sibling
-      // exists, so one slow worker cannot capture the stream at the emitter.
+      // Route to the worker with the fewest unfinished items (ties to the
+      // lowest index): a worker sitting on a backlog is never fed while a
+      // less loaded sibling exists, so one slow worker cannot capture the
+      // stream at the emitter, and an idle worker wins over a busy one.
       std::size_t best = 0;
-      std::size_t best_depth = outs_[0]->depth();
-      for (std::size_t i = 1; i < n; ++i) {
-        const std::size_t di = outs_[i]->depth();
-        if (di < best_depth) {
+      std::uint64_t best_load = outs_[0]->pending();
+      for (std::size_t i = 1; i < n && best_load != 0; ++i) {
+        const std::uint64_t load = outs_[i]->pending();
+        if (load < best_load) {
           best = i;
-          best_depth = di;
+          best_load = load;
         }
       }
       return outs_[best]->push(std::move(env));
@@ -418,6 +439,8 @@ class StageUnit final : public Unit {
     std::size_t n;
     while (running && (n = in_->pop_burst(burst, kBurst)) > 0) {
       for (std::size_t i = 0; i < n && running; ++i) {
+        // Envelope i-1 is done: it leaves its producer's pending() count.
+        if (i > 0) in_->mark_handled();
         Envelope& env = burst[i];
         if (env.kind == EnvKind::kEos) {
           running = false;
@@ -465,6 +488,7 @@ class StageUnit final : public Unit {
           if (!router_.route(std::move(out))) running = false;
         }
       }
+      in_->mark_handled();  // the burst's last envelope
     }
     node_->on_end();
     router_.broadcast_eos();

@@ -35,9 +35,10 @@ enum class WaitMode : std::uint8_t {
 /// How an emitter assigns items to farm workers.
 enum class SchedPolicy : std::uint8_t {
   kRoundRobin,   ///< strict rotation (FastFlow default scheduling)
-  kLeastLoaded,  ///< worker with the shallowest queue: routing follows each
-                 ///< worker's actual drain rate, so a slow worker sitting on
-                 ///< a deep queue is never fed while an idle sibling starves.
+  kLeastLoaded,  ///< worker with the fewest unfinished items (queued, taken
+                 ///< or in service): routing follows each worker's actual
+                 ///< drain rate, so a slow worker sitting on a backlog is
+                 ///< never fed while an idle sibling starves.
 };
 
 struct PipelineOptions {

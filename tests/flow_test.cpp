@@ -534,6 +534,80 @@ TEST(FarmTest, LeastLoadedOrderedFarmPreservesSequence) {
   for (int i = 0; i < 4000; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
 }
 
+/// True once `flag` is set, false if `limit` passed first.
+bool wait_for_flag(const std::atomic<bool>& flag,
+                   std::chrono::milliseconds limit) {
+  const auto until = std::chrono::steady_clock::now() + limit;
+  while (!flag.load(std::memory_order_acquire)) {
+    if (std::chrono::steady_clock::now() > until) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
+}
+
+/// Farm worker whose replica 0 holds its first item until `release` is set
+/// (bounded), raising `serving` while it holds.
+class HoldFirstOnReplicaZero final : public Node {
+ public:
+  HoldFirstOnReplicaZero(std::atomic<bool>* serving,
+                         const std::atomic<bool>* release,
+                         std::atomic<bool>* timed_out)
+      : serving_(serving), release_(release), timed_out_(timed_out) {}
+  void on_init(int replica_id) override { replica_ = replica_id; }
+  SvcResult svc(Item in) override {
+    if (replica_ == 0 && !held_) {
+      held_ = true;
+      serving_->store(true, std::memory_order_release);
+      if (!wait_for_flag(*release_, std::chrono::milliseconds(5000))) {
+        timed_out_->store(true);
+      }
+    }
+    return SvcResult::Out(std::move(in));
+  }
+
+ private:
+  std::atomic<bool>* serving_;
+  const std::atomic<bool>* release_;
+  std::atomic<bool>* timed_out_;
+  int replica_ = -1;
+  bool held_ = false;
+};
+
+TEST(FarmTest, LeastLoadedRoutesAroundAWorkerStillServing) {
+  // Item 0 goes to replica 0, which holds it until the sink has item 1;
+  // the source emits item 1 only once replica 0 is serving, with its queue
+  // empty. Balancing on queue depth alone ties both workers at 0 and feeds
+  // replica 0 again, so item 1 waits behind the hold until it times out.
+  std::atomic<bool> serving{false};
+  std::atomic<bool> second_done{false};
+  std::atomic<bool> timed_out{false};
+  Pipeline p;
+  p.add_stage(make_source<int>([&, i = 0]() mutable -> std::optional<int> {
+                if (i == 1 && !wait_for_flag(serving,
+                                             std::chrono::milliseconds(5000))) {
+                  timed_out.store(true);
+                }
+                if (i == 2) return std::nullopt;
+                return i++;
+              }),
+              "src");
+  p.add_farm(
+      [&] {
+        return std::make_unique<HoldFirstOnReplicaZero>(&serving, &second_done,
+                                                        &timed_out);
+      },
+      FarmOptions{.replicas = 2, .policy = SchedPolicy::kLeastLoaded}, "ll");
+  std::multiset<int> got;
+  p.add_stage(make_sink<int>([&](int v) {
+                got.insert(v);
+                if (v == 1) second_done.store(true, std::memory_order_release);
+              }),
+              "sink");
+  ASSERT_TRUE(p.run_and_wait().ok());
+  EXPECT_FALSE(timed_out.load());
+  EXPECT_EQ(got, (std::multiset<int>{0, 1}));
+}
+
 /// Farm worker that tallies per-replica item counts into a shared array.
 class ReplicaTally final : public Node {
  public:
