@@ -122,10 +122,7 @@ void BM_FlowFarmThroughput(benchmark::State& state) {
                     }),
                 "src");
     p.add_farm(flow::stage_factory<int, int>([](int v) { return v + 1; }),
-               flow::FarmOptions{
-                   .replicas = static_cast<int>(state.range(0)),
-                   .ordered = true},
-               "farm");
+               static_cast<int>(state.range(0)), "farm");
     long long sum = 0;
     p.add_stage(flow::make_sink<int>([&](int v) { sum += v; }), "sink");
     if (!p.run_and_wait().ok()) state.SkipWithError("pipeline failed");

@@ -108,11 +108,10 @@ serve::ServiceConfig service_config(const SoakOptions& opt,
   cfg.sched = opt.sched;
   cfg.registry = reg;
   cfg.default_deadline_ns = deadline_ns;
-  // Keep total standing work (tenant watermarks + flow queue) below what
-  // the deadline budget can absorb, so queue-depth admission control — not
+  // Keep total standing work (the tenant watermarks) below what the
+  // deadline budget can absorb, so queue-depth admission control — not
   // just deadline expiry — is what bounds the backlog under overload.
   cfg.tenant_queue_capacity = 16;
-  cfg.queue_capacity = static_cast<std::size_t>(opt.workers) * 4;
   // Latency watermark: shed while the windowed p99 exceeds the deadline
   // budget (the point where accepted work is mostly wasted anyway).
   cfg.p99_shed_budget_ns = deadline_ns;
@@ -244,10 +243,6 @@ PhaseResult run_open_loop(const SoakOptions& opt,
   out.p95_ms = lat.p95() / 1e6;
   out.p99_ms = lat.p99() / 1e6;
   if (!run.ok()) out.failure = run.ToString();
-  const std::string stage_failures = service.failure_summary();
-  if (!stage_failures.empty()) {
-    out.failure += out.failure.empty() ? stage_failures : "; " + stage_failures;
-  }
   std::fprintf(stderr,
                "[soak] %-10s rate=%7.1f/s submitted=%llu accepted=%llu "
                "shed=%llu miss=%llu cpu=%llu trips=%llu open@end=%d "
@@ -269,6 +264,7 @@ struct ElasticPhaseResult {
   std::uint64_t submitted = 0;
   std::uint64_t shed = 0;
   double mean_workers = 0;  ///< sampled stats().workers_active over the phase
+  double mean_workers_second_half = 0;  ///< the same over its second half
   double p99_ms = 0;        ///< completions within the phase window
 };
 
@@ -340,23 +336,45 @@ ElasticLegResult run_elastic_leg(const SoakOptions& opt,
   const PhaseSpec specs[3] = {{"trough", 0.3}, {"peak", 2.0},
                               {"cooldown", 0.3}};
 
-  // Worker-count sampler: the phase mean is what the shrink gate checks
-  // (fixed farms sample flat at opt.workers).
+  // Worker-count sampler: per phase, the mean over the whole phase and
+  // over its second half. The shrink gate checks the cooldown's second
+  // half: the whole-phase mean also holds the walk down from the peak's
+  // ceiling, one step per idle window. Fixed farms sample flat at
+  // opt.workers.
   struct WorkerAcc {
     std::atomic<std::uint64_t> sum{0};
     std::atomic<std::uint64_t> samples{0};
+
+    void add(int workers) {
+      sum.fetch_add(static_cast<std::uint64_t>(workers),
+                    std::memory_order_relaxed);
+      samples.fetch_add(1, std::memory_order_relaxed);
+    }
+    [[nodiscard]] double mean(int otherwise) const {
+      const std::uint64_t n = samples.load(std::memory_order_relaxed);
+      return n > 0 ? static_cast<double>(
+                         sum.load(std::memory_order_relaxed)) /
+                         static_cast<double>(n)
+                   : static_cast<double>(otherwise);
+    }
   };
   WorkerAcc acc[3];
+  WorkerAcc second_half[3];
   std::atomic<int> phase_index{-1};
+  std::atomic<Clock::rep> phase_half_at{0};  ///< Clock ticks since epoch
   std::atomic<bool> sampler_stop{false};
   std::thread sampler([&] {
     while (!sampler_stop.load(std::memory_order_acquire)) {
-      const int ph = phase_index.load(std::memory_order_relaxed);
+      // Acquire pairs with the phase's release below, so a sample of a new
+      // phase reads that phase's half-time.
+      const int ph = phase_index.load(std::memory_order_acquire);
       if (ph >= 0 && ph < 3) {
-        acc[ph].sum.fetch_add(
-            static_cast<std::uint64_t>(service.stats().workers_active),
-            std::memory_order_relaxed);
-        acc[ph].samples.fetch_add(1, std::memory_order_relaxed);
+        const int workers = service.stats().workers_active;
+        acc[ph].add(workers);
+        if (Clock::now().time_since_epoch().count() >=
+            phase_half_at.load(std::memory_order_relaxed)) {
+          second_half[ph].add(workers);
+        }
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
@@ -369,11 +387,15 @@ ElasticLegResult run_elastic_leg(const SoakOptions& opt,
     const double rate = saturation * specs[ph].mult;
     const std::uint64_t sub0 = service.stats().submitted;
     const std::uint64_t shed0 = service.stats().shed;
-    phase_index.store(ph, std::memory_order_relaxed);
     const auto start = Clock::now();
     const auto deadline =
         start + std::chrono::duration_cast<Clock::duration>(
                     std::chrono::duration<double>(phase_seconds));
+    phase_half_at.store((start + (deadline - start) / 2)
+                            .time_since_epoch()
+                            .count(),
+                        std::memory_order_relaxed);
+    phase_index.store(ph, std::memory_order_release);
     double next_arrival = 0;
     while (Clock::now() < deadline) {
       const std::string tenant =
@@ -397,13 +419,8 @@ ElasticLegResult run_elastic_leg(const SoakOptions& opt,
     const auto stats = service.stats();
     pr.submitted = stats.submitted - sub0;
     pr.shed = stats.shed - shed0;
-    const std::uint64_t samples =
-        acc[ph].samples.load(std::memory_order_relaxed);
-    pr.mean_workers =
-        samples > 0 ? static_cast<double>(
-                          acc[ph].sum.load(std::memory_order_relaxed)) /
-                          static_cast<double>(samples)
-                    : static_cast<double>(opt.workers);
+    pr.mean_workers = acc[ph].mean(opt.workers);
+    pr.mean_workers_second_half = second_half[ph].mean(opt.workers);
     // Phase p99 over the completions that landed inside the phase window
     // (snapshot diff, same scheme as the service's own admission gate).
     telemetry::HistogramSnapshot window = service.latency();
@@ -428,20 +445,15 @@ ElasticLegResult run_elastic_leg(const SoakOptions& opt,
   out.scale_ups = stats.scale_ups;
   out.scale_downs = stats.scale_downs;
   if (!run.ok()) out.failure = run.ToString();
-  const std::string stage_failures = service.failure_summary();
-  if (!stage_failures.empty()) {
-    out.failure +=
-        out.failure.empty() ? stage_failures : "; " + stage_failures;
-  }
   for (const ElasticPhaseResult& pr : out.phases) {
     std::fprintf(stderr,
                  "[soak] %-10s %-8s rate=%4.1fx submitted=%llu shed=%llu "
-                 "mean_workers=%.2f p99=%.2fms\n",
+                 "mean_workers=%.2f (second half %.2f) p99=%.2fms\n",
                  elastic ? "elastic" : "fixed", pr.name.c_str(),
                  pr.offered_mult,
                  static_cast<unsigned long long>(pr.submitted),
                  static_cast<unsigned long long>(pr.shed), pr.mean_workers,
-                 pr.p99_ms);
+                 pr.mean_workers_second_half, pr.p99_ms);
   }
   std::fprintf(stderr, "[soak] %-10s scale_ups=%llu scale_downs=%llu\n",
                elastic ? "elastic" : "fixed",
@@ -516,11 +528,13 @@ void write_json(const SoakOptions& opt, double job_s, double saturation,
         std::fprintf(f,
                      "      {\"name\": \"%s\", \"offered_mult\": %.2f, "
                      "\"submitted\": %llu, \"shed\": %llu, "
-                     "\"mean_workers\": %.2f, \"p99_ms\": %.3f}%s\n",
+                     "\"mean_workers\": %.2f, "
+                     "\"mean_workers_second_half\": %.2f, "
+                     "\"p99_ms\": %.3f}%s\n",
                      p.name.c_str(), p.offered_mult,
                      static_cast<unsigned long long>(p.submitted),
                      static_cast<unsigned long long>(p.shed),
-                     p.mean_workers, p.p99_ms,
+                     p.mean_workers, p.mean_workers_second_half, p.p99_ms,
                      i + 1 < leg.phases.size() ? "," : "");
       }
       std::fprintf(f, "    ]}");
@@ -714,13 +728,16 @@ int run(int argc, const char** argv) {
                    elastic_peak_ms, fixed_peak_ms);
       rc = 1;
     }
-    // After the peak the farm must have given capacity back: mean fed
-    // workers across the final trough strictly below the fixed count.
-    const double trough_workers = elastic_leg->phases[2].mean_workers;
+    // After the peak the pool must have given capacity back: mean fed
+    // workers over the second half of the final trough strictly below the
+    // fixed count. The first half still walks down from the peak's
+    // ceiling, one step per idle window.
+    const double trough_workers =
+        elastic_leg->phases[2].mean_workers_second_half;
     if (trough_workers >= static_cast<double>(opt.workers)) {
       std::fprintf(stderr,
-                   "[soak] FAIL: trough mean workers %.2f did not drop "
-                   "below the fixed %d\n",
+                   "[soak] FAIL: mean workers %.2f over the cooldown's "
+                   "second half did not drop below the fixed %d\n",
                    trough_workers, opt.workers);
       rc = 1;
     }

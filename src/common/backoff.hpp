@@ -1,5 +1,6 @@
-// Spin-then-yield backoff used by the flow runtime's non-blocking mode and
-// the taskx scheduler when queues are momentarily empty/full.
+// Spin-then-yield backoff for the two waits that poll several queues and
+// so cannot park on one: the flow farm collector's merge over its workers'
+// channels, and taskx::ThreadPool::help_while over the pool's task queues.
 #pragma once
 
 #include <chrono>

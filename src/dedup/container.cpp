@@ -342,8 +342,7 @@ Result<std::vector<std::uint8_t>> extract_parallel(
               return batch;
             });
       },
-      flow::FarmOptions{.replicas = std::max(1, replicas), .ordered = true},
-      "decode");
+      std::max(1, replicas), "decode");
   // Sink: assemble in order, resolving duplicate references.
   pipe.add_stage(flow::make_sink<ParsedBatch>([&a, &check](ParsedBatch batch) {
                    check(assemble_batch(batch, a));

@@ -4,7 +4,7 @@
 //   pipe.add_stage(flow::make_source<int>([n = 0]() mutable
 //       { return n < 100 ? std::optional<int>(n++) : std::nullopt; }));
 //   pipe.add_farm(flow::stage_factory<int, double>(
-//       [](int x) { return x * 0.5; }), {.replicas = 4, .ordered = true});
+//       [](int x) { return x * 0.5; }), /*replicas=*/4);
 //   pipe.add_stage(flow::make_sink<double>([&](double v) { sum += v; }));
 #pragma once
 
@@ -57,7 +57,7 @@ std::unique_ptr<Node> make_stage(Fn fn) {
   return std::make_unique<LambdaStage<In, Out, Fn>>(std::move(fn));
 }
 
-/// Filtering transform: nullopt drops the item (ordered farms emit a hole).
+/// Filtering transform: nullopt drops the item (a farm worker emits a hole).
 template <typename In, typename Out, typename Fn>
 class LambdaFilterStage final : public Node {
  public:

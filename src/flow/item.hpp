@@ -7,8 +7,6 @@
 #pragma once
 
 #include <cassert>
-#include <chrono>
-#include <cstdint>
 #include <memory>
 #include <typeinfo>
 #include <utility>
@@ -72,24 +70,6 @@ class Item {
 
   void reset() { holder_.reset(); }
 
-  // --- deadline budget (serve layer) ------------------------------------
-  // A deadline rides with the payload through every queue and stage: the
-  // runtime checks it at each stage boundary and, once expired, skips svc()
-  // for the remaining non-sink stages (the item is forwarded unserviced and
-  // flagged, so the sink can still complete its ticket as a miss). 0 means
-  // "no deadline" and costs the runtime a single branch per item.
-
-  /// Arms the deadline: absolute steady_clock time in nanoseconds since the
-  /// clock's epoch (see flow::deadline_clock_now()).
-  void set_deadline_ns(std::uint64_t t) { deadline_ns_ = t; }
-  [[nodiscard]] std::uint64_t deadline_ns() const { return deadline_ns_; }
-
-  /// True once the runtime dropped this item at a stage boundary. Sticky:
-  /// set with mark_deadline_expired() by the first stage that saw the
-  /// deadline pass, so the drop is counted exactly once.
-  [[nodiscard]] bool deadline_expired() const { return deadline_expired_; }
-  void mark_deadline_expired() { deadline_expired_ = true; }
-
  private:
   struct Holder {
     virtual ~Holder() = default;
@@ -107,18 +87,6 @@ class Item {
   };
 
   std::unique_ptr<Holder> holder_;
-  std::uint64_t deadline_ns_ = 0;
-  bool deadline_expired_ = false;
 };
-
-/// The clock deadlines are measured against: steady_clock now, as
-/// nanoseconds since its epoch. Callers arm items with
-/// `deadline_clock_now() + budget_ns`.
-[[nodiscard]] inline std::uint64_t deadline_clock_now() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 }  // namespace hs::flow

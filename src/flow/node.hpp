@@ -68,8 +68,8 @@ class Node {
  protected:
   /// Sends an additional item downstream from inside svc(). Only valid
   /// while the node is running in a pipeline; returns false if the run is
-  /// aborting. In an *ordered* farm, workers must not use emit() — ordering
-  /// requires exactly one output per input (enforced by the runtime).
+  /// aborting. Farm workers must not use emit(): the collector restores
+  /// order from exactly one output per input (enforced by the runtime).
   bool emit(Item item);
 
  private:
@@ -89,9 +89,9 @@ struct NodeAccess {
 
 inline bool Node::emit(Item item) {
   if (out_ == nullptr) return false;
-  // The runtime clears emit_allowed_ for ordered-farm workers.
+  // The runtime clears emit_allowed_ for farm workers.
   if (!emit_allowed_) {
-    assert(false && "emit() is not permitted in ordered farm workers");
+    assert(false && "emit() is not permitted in farm workers");
     return false;
   }
   return out_->send(std::move(item));

@@ -35,7 +35,7 @@ namespace {
 /// Internal transport: items plus control markers.
 enum class EnvKind : std::uint8_t {
   kItem,
-  kHole,  ///< ordered-farm worker consumed an input without output
+  kHole,  ///< farm worker consumed an input without output
   kEos,
 };
 
@@ -83,53 +83,31 @@ struct RunState {
   void tick() { progress.fetch_add(1, std::memory_order_relaxed); }
 };
 
-/// An SPSC queue with blocking push/pop honoring the wait mode and abort.
-/// In kBlocking mode, waiters park on a condition variable and the
-/// counterpart side notifies after every operation (a bounded wait guards
-/// against the classic lost-wakeup race without a lock on the fast path).
+/// An SPSC queue with blocking push/pop that honors abort. A waiter parks
+/// on a condition variable and the counterpart side notifies after every
+/// operation (a bounded wait guards against the classic lost-wakeup race
+/// without a lock on the fast path).
 class Channel {
  public:
-  Channel(std::size_t capacity, WaitMode mode, RunState* state,
+  Channel(std::size_t capacity, RunState* state,
           telemetry::Counter* full_counter)
-      : queue_(capacity),
-        mode_(mode),
-        state_(state),
-        full_counter_(full_counter) {}
+      : queue_(capacity), state_(state), full_counter_(full_counter) {}
 
   /// Blocks until pushed; returns false only when the run aborted.
   bool push(Envelope&& env) {
-    Backoff backoff;
     bool counted_full = false;
     while (!queue_.try_push(std::move(env))) {
       if (!counted_full) {
-        // One tick per push that found the queue full, not per retry
-        // iteration — a spinning producer would otherwise dominate the
-        // counter with meaningless retry counts.
+        // One tick per push that found the queue full, not per wakeup.
         counted_full = true;
         if (full_counter_ != nullptr) full_counter_->add(1);
       }
       if (state_->aborted()) return false;
-      wait(cv_not_full_, backoff);
+      park(cv_not_full_);
     }
-    ++pushed_;
     state_->tick();
-    if (mode_ == WaitMode::kBlocking) cv_not_empty_.notify_one();
+    cv_not_empty_.notify_one();
     return true;
-  }
-
-  /// Producer only: envelopes pushed that the consumer has not finished
-  /// handling — queued, popped into its burst, or in its svc(). The
-  /// least-loaded router balances on this, not on depth(): a worker that
-  /// drained its queue into a burst, or is still serving its last item,
-  /// is busy though its queue is empty.
-  [[nodiscard]] std::uint64_t pending() const {
-    return pushed_ - handled_.load(std::memory_order_acquire);
-  }
-
-  /// Consumer only: one popped envelope is fully handled.
-  void mark_handled() {
-    handled_.store(handled_.load(std::memory_order_relaxed) + 1,
-                   std::memory_order_release);
   }
 
   /// Instantaneous depth/capacity for the telemetry queue sampler.
@@ -138,66 +116,43 @@ class Channel {
     return queue_.capacity();
   }
 
-  /// Blocks until popped; returns false only when the run aborted *and*
-  /// the queue is empty (drain-before-abort keeps teardown deterministic
-  /// for upstream EOS envelopes already queued).
-  bool pop(Envelope& out) {
-    Backoff backoff;
-    while (!queue_.try_pop(out)) {
-      if (state_->aborted()) return false;
-      wait(cv_not_empty_, backoff);
-    }
-    state_->tick();
-    if (mode_ == WaitMode::kBlocking) cv_not_full_.notify_one();
-    return true;
-  }
-
   bool try_pop(Envelope& out) {
     bool ok = queue_.try_pop(out);
     if (ok) {
       state_->tick();
-      if (mode_ == WaitMode::kBlocking) cv_not_full_.notify_one();
+      cv_not_full_.notify_one();
     }
     return ok;
   }
 
   /// Blocks until at least one envelope arrives, then drains up to `max`
   /// under a single acquire/release round-trip (FastFlow-style burst
-  /// transfer). Returns 0 only when the run aborted with the queue empty.
+  /// transfer). Returns 0 only when the run aborted with the queue empty
+  /// (drain-before-abort keeps teardown deterministic for upstream EOS
+  /// envelopes already queued).
   std::size_t pop_burst(Envelope* out, std::size_t max) {
-    Backoff backoff;
     std::size_t n;
     while ((n = queue_.try_pop_n(out, max)) == 0) {
       if (state_->aborted()) return 0;
-      wait(cv_not_empty_, backoff);
+      park(cv_not_empty_);
     }
     state_->tick();
-    if (mode_ == WaitMode::kBlocking) cv_not_full_.notify_one();
+    cv_not_full_.notify_one();
     return n;
   }
 
  private:
-  /// One wait step: park on `cv` (kBlocking) or back off (kBackoff).
-  void wait(std::condition_variable& cv, Backoff& backoff) {
-    if (mode_ == WaitMode::kBlocking) {
-      std::unique_lock<std::mutex> lock(cv_mu_);
-      cv.wait_for(lock, std::chrono::milliseconds(1));
-      return;
-    }
-    backoff.pause();
+  void park(std::condition_variable& cv) {
+    std::unique_lock<std::mutex> lock(cv_mu_);
+    cv.wait_for(lock, std::chrono::milliseconds(1));
   }
 
   SpscQueue<Envelope> queue_;
-  std::uint64_t pushed_ = 0;  // producer-owned
-  WaitMode mode_;
   RunState* state_;
   telemetry::Counter* full_counter_;
   std::mutex cv_mu_;
   std::condition_variable cv_not_empty_;
   std::condition_variable cv_not_full_;
-  // Consumer-written, on a line of its own so the producer's fields stay
-  // put in its cache.
-  alignas(64) std::atomic<std::uint64_t> handled_{0};
 };
 
 using Clock = std::chrono::steady_clock;
@@ -296,47 +251,18 @@ class Unit {
   std::atomic<bool> in_svc_{false};
 };
 
-/// Routes items from a node to one or more downstream channels, stamping
-/// sequence numbers. Implements the Node's emit() port.
+/// Routes items from a node to one or more downstream channels in strict
+/// rotation (FastFlow's default farm scheduling), stamping sequence
+/// numbers. Implements the Node's emit() port.
 class Router final : public OutPort {
  public:
-  Router(std::vector<Channel*> outs, SchedPolicy policy,
-         const FarmController* controller = nullptr)
-      : outs_(std::move(outs)), policy_(policy), controller_(controller) {}
-
-  /// Downstream channels currently eligible for items. With an attached
-  /// FarmController only the first `active` workers are fed; EOS broadcast
-  /// still reaches every channel so parked replicas terminate.
-  [[nodiscard]] std::size_t active_outs() const {
-    if (controller_ == nullptr) return outs_.size();
-    const int a = controller_->active();
-    if (a < 1) return 1;
-    return std::min(outs_.size(), static_cast<std::size_t>(a));
-  }
+  explicit Router(std::vector<Channel*> outs) : outs_(std::move(outs)) {}
 
   /// Routes an item envelope with an explicit sequence number.
   bool route(Envelope&& env) {
     if (outs_.empty()) return true;  // sink: outputs are dropped
-    const std::size_t n = active_outs();
-    if (n == 1) return outs_[0]->push(std::move(env));
-    if (policy_ == SchedPolicy::kLeastLoaded) {
-      // Route to the worker with the fewest unfinished items (ties to the
-      // lowest index): a worker sitting on a backlog is never fed while a
-      // less loaded sibling exists, so one slow worker cannot capture the
-      // stream at the emitter, and an idle worker wins over a busy one.
-      std::size_t best = 0;
-      std::uint64_t best_load = outs_[0]->pending();
-      for (std::size_t i = 1; i < n && best_load != 0; ++i) {
-        const std::uint64_t load = outs_[i]->pending();
-        if (load < best_load) {
-          best = i;
-          best_load = load;
-        }
-      }
-      return outs_[best]->push(std::move(env));
-    }
-    std::size_t i = next_ % n;
-    ++next_;
+    const std::size_t i = next_;
+    next_ = next_ + 1 == outs_.size() ? 0 : next_ + 1;
     return outs_[i]->push(std::move(env));
   }
 
@@ -359,14 +285,10 @@ class Router final : public OutPort {
     return ok;
   }
 
-  [[nodiscard]] std::uint64_t next_seq() const { return seq_; }
   std::uint64_t take_seq() { return seq_++; }
-  void set_seq(std::uint64_t s) { seq_ = s; }
 
  private:
   std::vector<Channel*> outs_;
-  SchedPolicy policy_;
-  const FarmController* controller_;
   std::size_t next_ = 0;
   std::uint64_t seq_ = 0;
 };
@@ -407,26 +329,21 @@ class SourceUnit final : public Unit {
 };
 
 /// Middle/sink stage (also farm workers): one input channel, svc per item.
+/// A farm worker keeps each input's sequence number on its one output (or
+/// a hole when svc() produced none) so the collector can restore order.
 class StageUnit final : public Unit {
  public:
   StageUnit(std::string name, RunState* state, Node* node, Channel* in,
-            Router router, bool propagate_seq, int replica_id,
-            bool is_sink = false)
+            Router router, bool farm_worker, int replica_id)
       : Unit(std::move(name), state),
         node_(node),
         in_(in),
         router_(std::move(router)),
-        propagate_seq_(propagate_seq),
-        replica_id_(replica_id),
-        is_sink_(is_sink) {}
-
-  /// Counter for deadline-expired items this stage skipped (may be null).
-  void set_deadline_counter(telemetry::Counter* counter) {
-    deadline_counter_ = counter;
-  }
+        farm_worker_(farm_worker),
+        replica_id_(replica_id) {}
 
   void run() override {
-    NodeAccess::bind(*node_, &router_, /*emit_allowed=*/!propagate_seq_);
+    NodeAccess::bind(*node_, &router_, /*emit_allowed=*/!farm_worker_);
     node_->on_init(replica_id_);
     // Burst transfer: drain up to kBurst envelopes per queue round-trip.
     // EOS is always the producer's final envelope on this SPSC channel, so
@@ -439,8 +356,6 @@ class StageUnit final : public Unit {
     std::size_t n;
     while (running && (n = in_->pop_burst(burst, kBurst)) > 0) {
       for (std::size_t i = 0; i < n && running; ++i) {
-        // Envelope i-1 is done: it leaves its producer's pending() count.
-        if (i > 0) in_->mark_handled();
         Envelope& env = burst[i];
         if (env.kind == EnvKind::kEos) {
           running = false;
@@ -448,27 +363,7 @@ class StageUnit final : public Unit {
         }
         if (env.kind == EnvKind::kHole) continue;  // holes die at collectors
         count_item();
-        std::uint64_t seq = env.seq;
-        // Deadline budget: an expired item is not serviced by a non-sink
-        // stage — it is forwarded unchanged (sequence preserved) so the
-        // sink can complete its ticket as a miss, and counted once, by the
-        // first stage that saw the deadline pass. Items without a deadline
-        // (deadline_ns == 0, every pre-serve caller) cost one branch.
-        if (env.item.deadline_ns() != 0 && !is_sink_) {
-          if (!env.item.deadline_expired() &&
-              deadline_clock_now() > env.item.deadline_ns()) {
-            env.item.mark_deadline_expired();
-            if (deadline_counter_ != nullptr) deadline_counter_->add(1);
-          }
-          if (env.item.deadline_expired()) {
-            Envelope fwd;
-            fwd.kind = EnvKind::kItem;
-            fwd.seq = propagate_seq_ ? seq : router_.take_seq();
-            fwd.item = std::move(env.item);
-            if (!router_.route(std::move(fwd))) running = false;
-            continue;
-          }
-        }
+        const std::uint64_t seq = env.seq;
         SvcResult r =
             guarded_svc([&] { return node_->svc(std::move(env.item)); });
         if (r.kind == SvcResult::Kind::kEos) {
@@ -476,19 +371,17 @@ class StageUnit final : public Unit {
           break;
         }
         Envelope out;
-        out.seq = propagate_seq_ ? seq : router_.take_seq();
+        out.seq = farm_worker_ ? seq : router_.take_seq();
         if (r.kind == SvcResult::Kind::kItem) {
           out.kind = EnvKind::kItem;
           out.item = std::move(r.item);
           if (!router_.route(std::move(out))) running = false;
-        } else if (propagate_seq_) {
-          // Ordered farm: the collector must learn this sequence was
-          // dropped.
+        } else if (farm_worker_) {
+          // The collector must learn this sequence was dropped.
           out.kind = EnvKind::kHole;
           if (!router_.route(std::move(out))) running = false;
         }
       }
-      in_->mark_handled();  // the burst's last envelope
     }
     node_->on_end();
     router_.broadcast_eos();
@@ -501,10 +394,8 @@ class StageUnit final : public Unit {
   Node* node_;
   Channel* in_;
   Router router_;
-  bool propagate_seq_;
+  bool farm_worker_;
   int replica_id_;
-  bool is_sink_;
-  telemetry::Counter* deadline_counter_ = nullptr;
 };
 
 /// Farm front-end: stamps sequence numbers and schedules items to workers.
@@ -541,15 +432,16 @@ class EmitterUnit final : public Unit {
   Router router_;
 };
 
-/// Farm back-end: merges worker outputs, optionally restoring order.
+/// Farm back-end: merges worker outputs, restoring emission order. It polls
+/// every worker's channel, so it waits with an escalating backoff instead
+/// of parking on one channel.
 class CollectorUnit final : public Unit {
  public:
   CollectorUnit(std::string name, RunState* state,
-                std::vector<Channel*> ins, Router router, bool ordered)
+                std::vector<Channel*> ins, Router router)
       : Unit(std::move(name), state),
         ins_(std::move(ins)),
-        router_(std::move(router)),
-        ordered_(ordered) {}
+        router_(std::move(router)) {}
 
   void run() override {
     std::size_t eos_seen = 0;
@@ -579,13 +471,9 @@ class CollectorUnit final : public Unit {
         ++eos_seen;
         continue;
       }
-      if (ordered_) {
-        if (!deliver_ordered(std::move(env))) return;
-      } else if (env.kind == EnvKind::kItem) {
-        if (!forward(std::move(env.item))) return;
-      }
+      if (!deliver_ordered(std::move(env))) return;
     }
-    if (ordered_) flush_pending();
+    flush_pending();
     router_.broadcast_eos();
   }
 
@@ -625,7 +513,6 @@ class CollectorUnit final : public Unit {
 
   std::vector<Channel*> ins_;
   Router router_;
-  bool ordered_;
   std::uint64_t next_expected_ = 0;
   std::map<std::uint64_t, Envelope> pending_;
 };
@@ -637,7 +524,7 @@ struct PlainStage {
 };
 struct FarmStage {
   std::function<std::unique_ptr<Node>()> factory;
-  FarmOptions options;
+  int replicas;
   std::string name;
 };
 using StageDesc = std::variant<PlainStage, FarmStage>;
@@ -658,7 +545,6 @@ struct RunCore {
   telemetry::StreamInstrumentation instr;
   telemetry::Counter* queue_full_counter = nullptr;
   telemetry::Counter* watchdog_counter = nullptr;
-  telemetry::Counter* deadline_counter = nullptr;
   std::vector<std::uint64_t> sampler_ids;
 
   // Completion signalling for run_and_wait's supervision loop.
@@ -668,8 +554,7 @@ struct RunCore {
 
   Channel* new_channel(std::string label) {
     channels.push_back(std::make_unique<Channel>(
-        options.queue_capacity, options.wait_mode, &state,
-        queue_full_counter));
+        options.queue_capacity, &state, queue_full_counter));
     channel_labels.push_back(std::move(label));
     return channels.back().get();
   }
@@ -760,12 +645,11 @@ void Pipeline::add_stage(std::unique_ptr<Node> node, std::string name) {
 }
 
 void Pipeline::add_farm(std::function<std::unique_ptr<Node>()> worker_factory,
-                        FarmOptions options, std::string name) {
+                        int replicas, std::string name) {
   assert(worker_factory && "null worker factory");
-  assert(options.replicas >= 1);
-  if (options.controller != nullptr) options.controller->bind(options.replicas);
+  assert(replicas >= 1);
   impl_->stages.push_back(
-      FarmStage{std::move(worker_factory), options, std::move(name)});
+      FarmStage{std::move(worker_factory), replicas, std::move(name)});
 }
 
 int Pipeline::thread_count() const {
@@ -774,7 +658,7 @@ int Pipeline::thread_count() const {
     if (std::holds_alternative<PlainStage>(s)) {
       n += 1;
     } else {
-      n += std::get<FarmStage>(s).options.replicas + 2;  // emitter+collector
+      n += std::get<FarmStage>(s).replicas + 2;  // emitter+collector
     }
   }
   return n;
@@ -812,8 +696,6 @@ Status Pipeline::run_and_wait() {
         core->instr.registry->counter(core->instr.prefix + ".queue_full");
     core->watchdog_counter = core->instr.registry->counter(
         core->instr.prefix + ".watchdog_aborts");
-    core->deadline_counter = core->instr.registry->counter(
-        core->instr.prefix + ".deadline_drops");
     im.straggler_counter = core->instr.registry->counter(
         core->instr.prefix + ".stragglers_detached");
   }
@@ -847,19 +729,16 @@ Status Pipeline::run_and_wait() {
     if (auto* plain = std::get_if<PlainStage>(&desc)) {
       Node* node = plain->node.get();
       core->nodes.push_back(std::move(plain->node));
-      Router router(outs, SchedPolicy::kRoundRobin);
+      Router router(outs);
       if (is_source) {
         units.push_back(std::make_unique<SourceUnit>(
             plain->name, &core->state, node, std::move(router)));
         entry = nullptr;
       } else {
         Channel* in = core->new_channel(plain->name + ".in");
-        auto stage_unit = std::make_unique<StageUnit>(
+        units.push_back(std::make_unique<StageUnit>(
             plain->name, &core->state, node, in, std::move(router),
-            /*propagate_seq=*/false, /*replica_id=*/0,
-            /*is_sink=*/idx == im.stages.size() - 1);
-        stage_unit->set_deadline_counter(core->deadline_counter);
-        units.push_back(std::move(stage_unit));
+            /*farm_worker=*/false, /*replica_id=*/0));
         entry = in;
       }
       attach_telemetry(units.back().get(), plain->name);
@@ -869,41 +748,35 @@ Status Pipeline::run_and_wait() {
     auto& farm = std::get<FarmStage>(desc);
     // collector: worker channels -> entry
     std::vector<Channel*> worker_outs;
-    worker_outs.reserve(static_cast<std::size_t>(farm.options.replicas));
-    for (int w = 0; w < farm.options.replicas; ++w) {
+    worker_outs.reserve(static_cast<std::size_t>(farm.replicas));
+    for (int w = 0; w < farm.replicas; ++w) {
       worker_outs.push_back(
           core->new_channel(farm.name + ".w" + std::to_string(w) + ".out"));
     }
     units.push_back(std::make_unique<CollectorUnit>(
-        farm.name + ".collector", &core->state, worker_outs,
-        Router(outs, SchedPolicy::kRoundRobin), farm.options.ordered));
+        farm.name + ".collector", &core->state, worker_outs, Router(outs)));
 
     // workers: per-worker in channel -> per-worker out channel
     std::vector<Channel*> worker_ins;
-    worker_ins.reserve(static_cast<std::size_t>(farm.options.replicas));
-    for (int w = 0; w < farm.options.replicas; ++w) {
+    worker_ins.reserve(static_cast<std::size_t>(farm.replicas));
+    for (int w = 0; w < farm.replicas; ++w) {
       const std::string worker_name = farm.name + ".w" + std::to_string(w);
       Channel* win = core->new_channel(worker_name + ".in");
       worker_ins.push_back(win);
       auto node = farm.factory();
       assert(node && "worker factory returned null");
-      auto worker_unit = std::make_unique<StageUnit>(
+      units.push_back(std::make_unique<StageUnit>(
           worker_name, &core->state, node.get(), win,
-          Router({worker_outs[static_cast<std::size_t>(w)]},
-                 SchedPolicy::kRoundRobin),
-          /*propagate_seq=*/farm.options.ordered, /*replica_id=*/w);
-      worker_unit->set_deadline_counter(core->deadline_counter);
-      units.push_back(std::move(worker_unit));
+          Router({worker_outs[static_cast<std::size_t>(w)]}),
+          /*farm_worker=*/true, /*replica_id=*/w));
       core->nodes.push_back(std::move(node));
       attach_telemetry(units.back().get(), worker_name);
     }
 
-    // emitter: in channel -> worker channels (the controller, if any, bounds
-    // how many of them receive items — see FarmController).
+    // emitter: in channel -> worker channels, round-robin
     Channel* farm_in = core->new_channel(farm.name + ".in");
     units.push_back(std::make_unique<EmitterUnit>(
-        farm.name + ".emitter", &core->state, farm_in,
-        Router(worker_ins, farm.options.policy, farm.options.controller)));
+        farm.name + ".emitter", &core->state, farm_in, Router(worker_ins)));
     entry = farm_in;
   }
 

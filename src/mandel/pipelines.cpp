@@ -62,7 +62,7 @@ Result<std::vector<std::uint8_t>> render_flow(const MandelParams& params,
           return line;
         });
       },
-      flow::FarmOptions{.replicas = workers, .ordered = true}, "compute");
+      workers, "compute");
   pipe.add_stage(flow::make_sink<Line>([&image, &params](Line line) {
                    store_line(image, params.dim, line);
                  }),

@@ -1,7 +1,7 @@
 // Job requests and the per-worker execution engine of the serve layer.
 //
 // A job is a self-contained unit of pipeline work (one small Mandelbrot
-// frame, or one dedup-archive pass over a payload) that a farm worker
+// frame, or one dedup-archive pass over a payload) that a service worker
 // executes end to end. The engine runs each job through the device ladder
 // (sched/ladder.hpp) with the service's breakers:
 //
@@ -33,7 +33,7 @@ enum class JobKind : std::uint8_t {
   kDedup = 1,
   /// Fixed-duration job: the worker blocks wall-clock for `synthetic_ns`
   /// and produces no output. Models work bound on an external resource
-  /// (remote accelerator, storage, downstream service), so farm capacity is
+  /// (remote accelerator, storage, downstream service), so capacity is
   /// exactly workers / duration regardless of host core count — the load
   /// shape elasticity harnesses need to measure worker scaling on any
   /// machine. Skips the GPU ladder entirely.
@@ -62,8 +62,8 @@ struct JobResult {
   int device = -1;                 ///< device that computed it (-1 = CPU)
 };
 
-/// Per-worker-replica executor. Not thread-safe; each farm worker owns one.
-/// The breaker board, tracker and retry stats are shared across replicas;
+/// Per-worker executor. Not thread-safe; each service worker owns one.
+/// The breaker board, tracker and retry stats are shared across workers;
 /// a null `machine` makes a CPU-only engine, a null `tracker` binds the
 /// replica statically, a null `breakers` vetoes nothing.
 class JobEngine {

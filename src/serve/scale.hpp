@@ -1,22 +1,23 @@
-// Elastic worker scaling for the serve farm: policy + hysteresis decider.
+// Elastic worker scaling for the serve workers: policy + hysteresis decider.
 //
 // The paper's §V challenge is that a stream runtime cannot control its
-// offered load; a fixed worker farm therefore either under-provisions the
-// burst or pins idle threads after it. The service keeps the farm
-// *provisioned* at max_workers (flow::FarmController parks the surplus
-// replicas on empty queues) and moves the fed-worker count with the load:
+// offered load; a fixed worker pool therefore either under-provisions the
+// burst or pins idle threads after it. The service starts max_workers
+// workers, lets only the first `fed` of them take jobs (the rest wait on a
+// condition variable) and moves the fed count with the load:
 //
-//   grow   — aggregate tenant backlog has sat at/above scale_up_watermark
-//            (or the windowed-p99 admission gate is tripping with work
-//            queued) for a full sample_window;
+//   grow   — the backlog (queued jobs no idle worker is already waking
+//            for) has sat at/above scale_up_watermark (or the windowed-p99
+//            admission gate is tripping with work queued) for a full
+//            sample_window;
 //   shrink — the backlog has been empty for scale_down_idle_window;
 //   never flap — every resize re-arms its window and starts a cooldown
 //            during which no further resize fires, so one noisy sample can
-//            neither grow nor shrink the farm.
+//            neither grow nor shrink the pool.
 //
 // ScaleDecider is the pure state machine: the service feeds it
 // (now, backlog, p99-overloaded) samples from its controller thread and
-// applies the returned resizes to the FarmController. Keeping it free of
+// sets the fed count to each returned resize. Keeping it free of
 // threads and clocks makes the hysteresis unit-testable with a synthetic
 // timeline.
 #pragma once
@@ -29,11 +30,11 @@
 namespace hs::serve {
 
 /// Shape of the elastic-scaling behavior. Disabled by default
-/// (max_workers == 0): the service then runs the fixed
-/// ServiceConfig::workers farm exactly as before.
+/// (max_workers == 0): the service then runs ServiceConfig::workers
+/// workers, all fed.
 struct ScalePolicy {
   int min_workers = 0;  ///< floor; >= 1 when enabled
-  int max_workers = 0;  ///< ceiling (provisioned replicas); 0 disables
+  int max_workers = 0;  ///< ceiling (workers started); 0 disables
   /// Aggregate queued jobs (across all tenant queues) at/above which the
   /// service is considered under pressure.
   std::size_t scale_up_watermark = 8;

@@ -3,17 +3,15 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
-#include <deque>
+#include <exception>
 #include <map>
 #include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "flow/item.hpp"
-#include "flow/node.hpp"
-#include "flow/pipeline.hpp"
 #include "serve/wrr.hpp"
 #include "telemetry/span_recorder.hpp"
 
@@ -30,7 +28,23 @@ std::string_view reject_code_name(RejectCode code) {
 
 namespace {
 
-/// The stream item: one accepted job riding through the pipeline.
+using Clock = std::chrono::steady_clock;
+
+/// Nanoseconds since the steady clock's epoch: the clock submission times
+/// and deadlines are measured against.
+std::uint64_t now_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          Clock::now().time_since_epoch())
+          .count());
+}
+
+std::uint64_t ns_between(Clock::time_point t0, Clock::time_point t1) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+}
+
+/// One accepted job, queued until a worker takes it.
 struct Ticket {
   JobRequest request;
   std::string tenant;
@@ -39,10 +53,9 @@ struct Ticket {
   std::uint64_t deadline_ns = 0;  ///< absolute, 0 = none
   std::shared_ptr<std::promise<JobResult>> promise;  ///< null = fire-and-forget
   /// The tenant's accepted-but-not-completed count, carried on the ticket so
-  /// the sink can decrement it without a tenant-map lookup. Null when no
-  /// in-flight quota is configured.
+  /// the completing worker can decrement it without a tenant-map lookup.
+  /// Null when no in-flight quota is configured.
   std::shared_ptr<std::atomic<std::int64_t>> inflight;
-  JobResult result;
 };
 
 }  // namespace
@@ -65,10 +78,14 @@ struct ServiceImpl {
     if (config.registry != nullptr) {
       shed_counter = config.registry->counter(config.prefix + ".shed");
       miss_counter = config.registry->counter(config.prefix + ".deadline_miss");
+      drop_counter =
+          config.registry->counter(config.prefix + ".deadline_drops");
       accepted_counter = config.registry->counter(config.prefix + ".accepted");
       completed_counter =
           config.registry->counter(config.prefix + ".completed");
       latency_hist = config.registry->histogram(config.prefix + ".latency_ns");
+      complete_hist =
+          config.registry->histogram(config.prefix + ".complete.svc_ns");
       quota_counter =
           config.registry->counter(config.prefix + ".quota_rejects");
       workers_gauge = config.registry->gauge(config.prefix + ".workers");
@@ -105,25 +122,176 @@ struct ServiceImpl {
       c.deadline_miss = config.registry->counter(base + ".deadline_miss");
       c.quota_rejects = config.registry->counter(base + ".quota_rejects");
       config.registry->gauge(base + ".weight")
-          ->set(static_cast<double>(weight_of(tenant)));
+          ->set(static_cast<double>(wrr.weight_of(tenant)));
       it = tenant_metrics.emplace(std::string(tenant), c).first;
     }
     return &it->second;
   }
 
-  /// Effective WRR weight of a tenant: configured weight, floored at 1.
-  [[nodiscard]] int weight_of(std::string_view tenant) const {
-    return wrr.weight_of(tenant);
-  }
-
-  /// Weighted round-robin pop across the tenant queues (serve/wrr.hpp);
-  /// false when all are empty. With every weight at the default 1 this is
-  /// exactly the old one-pop-then-advance rotation.
-  bool pop_next(Ticket& out) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (!wrr.pop(out)) return false;
+  /// Blocks worker `index` until it is fed and a ticket is queued, then pops
+  /// the next ticket in WRR order (serve/wrr.hpp). Once draining starts
+  /// every worker pops until the queues are dry; false then ends the worker.
+  bool take(int index, Ticket& out) {
+    std::unique_lock<std::mutex> lock(mu);
+    for (;;) {
+      if (draining ||
+          (index < fed && backlog.load(std::memory_order_relaxed) != 0)) {
+        break;
+      }
+      // Fed workers wait for tickets and unfed ones for a resize, on
+      // separate variables, so a submit's notify_one always reaches a
+      // worker that may take the ticket.
+      if (index < fed) {
+        ++idle_fed;
+        ticket_cv.wait(lock);
+        --idle_fed;
+      } else {
+        resize_cv.wait(lock);
+      }
+    }
+    if (!wrr.pop(out)) return false;  // draining and dry
     backlog.fetch_sub(1, std::memory_order_relaxed);
     return true;
+  }
+
+  /// Runs one job on `engine`, timing it into the worker's histogram and
+  /// span. A job that throws completes with kInternal.
+  JobResult run(JobEngine& engine, const JobRequest& request,
+                telemetry::Histogram* hist, const char* span) {
+    const bool timed = hist != nullptr || span != nullptr;
+    const Clock::time_point t0 = timed ? Clock::now() : Clock::time_point{};
+    JobResult result;
+    try {
+      result = engine.run(request);
+    } catch (const std::exception& e) {
+      result.status = Internal(std::string("job threw: ") + e.what());
+    } catch (...) {
+      result.status = Internal("job threw a non-standard exception");
+    }
+    if (timed) {
+      const Clock::time_point t1 = Clock::now();
+      if (hist != nullptr) hist->record(ns_between(t0, t1));
+      if (span != nullptr) {
+        config.spans->record(span, config.spans->to_ns(t0),
+                             config.spans->to_ns(t1));
+      }
+    }
+    return result;
+  }
+
+  /// Finalizes a ticket: latency, deadline-miss accounting, the in-flight
+  /// quota slot and the promise.
+  void complete(Ticket& ticket, JobResult result, bool dropped) {
+    const Clock::time_point t0 = Clock::now();
+    const std::uint64_t now = now_ns();
+    result.latency_ns = now > ticket.submit_ns ? now - ticket.submit_ns : 0;
+    result.deadline_missed =
+        dropped || (ticket.deadline_ns != 0 && now > ticket.deadline_ns);
+    if (result.deadline_missed) {
+      deadline_miss.fetch_add(1, std::memory_order_relaxed);
+      if (miss_counter != nullptr) miss_counter->add(1);
+      if (auto* tc = tenant_counters(ticket.tenant); tc != nullptr) {
+        tc->deadline_miss->add(1);
+      }
+    }
+    completed.fetch_add(1, std::memory_order_relaxed);
+    if (completed_counter != nullptr) completed_counter->add(1);
+    if (latency_hist != nullptr) latency_hist->record(result.latency_ns);
+    if (ticket.inflight != nullptr) {
+      ticket.inflight->fetch_sub(1, std::memory_order_relaxed);
+    }
+    if (ticket.promise != nullptr) {
+      ticket.promise->set_value(std::move(result));
+    }
+    if (complete_hist != nullptr) {
+      complete_hist->record(ns_between(t0, Clock::now()));
+    }
+  }
+
+  /// Worker `index`: takes tickets until draining empties the queues. An
+  /// expired ticket completes as a miss without running, so it never
+  /// occupies a GPU slot.
+  void work(int index) {
+    const std::string name = "exec.w" + std::to_string(index);
+    telemetry::Histogram* exec_hist =
+        config.registry != nullptr
+            ? config.registry->histogram(config.prefix + "." + name +
+                                         ".svc_ns")
+            : nullptr;
+    const char* span = nullptr;
+    if (config.spans != nullptr) {
+      span = config.spans->intern(name);
+      config.spans->set_thread_name(name);
+    }
+    JobEngine engine(machine, &breakers,
+                     tracker.has_value() ? &*tracker : nullptr, config.retry,
+                     &retry_stats, index);
+    int since_publish = 0;
+    for (;;) {
+      Ticket ticket;
+      if (!take(index, ticket)) return;
+      const bool expired =
+          ticket.deadline_ns != 0 && now_ns() > ticket.deadline_ns;
+      JobResult result;
+      if (expired) {
+        if (drop_counter != nullptr) drop_counter->add(1);
+        result.status = Aborted("deadline budget exhausted in queue");
+      } else {
+        result = run(engine, ticket.request, exec_hist, span);
+      }
+      complete(ticket, std::move(result), expired);
+      if (++since_publish >= 64) {
+        since_publish = 0;
+        breakers.publish();
+      }
+    }
+  }
+
+  /// Elastic controller: samples the tickets waiting for a worker and
+  /// applies the decider's resizes to the fed count. A ticket an idle fed
+  /// worker is already waking for is not pressure, so the samples leave
+  /// out one queued ticket per such worker; otherwise each push-to-take
+  /// hand-off would read as backlog and re-arm the idle window.
+  void scale(const ScalePolicy& policy, int initial) {
+    ScaleDecider decider(policy, initial, ScaleDecider::Clock::now());
+    while (!scaler_stop.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(policy.sample_interval);
+      std::size_t waiting;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        const std::size_t queued = backlog.load(std::memory_order_relaxed);
+        const auto idle = static_cast<std::size_t>(idle_fed);
+        waiting = queued > idle ? queued - idle : 0;
+      }
+      const auto resize = decider.observe(
+          ScaleDecider::Clock::now(), waiting,
+          latency_overloaded.load(std::memory_order_relaxed));
+      if (!resize.has_value()) continue;
+      const std::uint64_t t0 =
+          config.spans != nullptr ? config.spans->now_ns() : 0;
+      int prev;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        prev = fed;
+        fed = *resize;
+      }
+      ticket_cv.notify_all();
+      resize_cv.notify_all();
+      workers_active.store(*resize, std::memory_order_relaxed);
+      if (workers_gauge != nullptr) {
+        workers_gauge->set(static_cast<double>(*resize));
+      }
+      const bool grew = *resize > prev;
+      (grew ? scale_ups : scale_downs).fetch_add(1, std::memory_order_relaxed);
+      if (telemetry::Counter* c = grew ? scale_up_counter : scale_down_counter;
+          c != nullptr) {
+        c->add(1);
+      }
+      if (config.spans != nullptr) {
+        config.spans->record(grew ? scale_up_span : scale_down_span, t0,
+                             config.spans->now_ns());
+      }
+    }
   }
 
   gpusim::Machine* machine;
@@ -132,29 +300,33 @@ struct ServiceImpl {
   std::optional<sched::DeviceLoadTracker> tracker;
   RetryStats retry_stats;
 
-  mutable std::mutex mu;  ///< guards wrr, accepting, tenant_inflight
+  /// Guards wrr, fed, idle_fed, accepting, draining and tenant_inflight,
+  /// and every change to backlog.
+  mutable std::mutex mu;
+  std::condition_variable ticket_cv;  ///< fed workers wait for a ticket
+  std::condition_variable resize_cv;  ///< unfed workers wait for a resize
   WrrQueues<Ticket> wrr{&config.tenant_weights};
-  /// Admission gate for the submit/stop race: stop() flips it to false
-  /// under mu *before* setting draining, so every ticket ever pushed
-  /// happens-before any observation of draining==true — the source's final
-  /// pop (and stop()'s leftover drain) therefore see them all, and no
-  /// accepted future is ever stranded unresolved.
+  /// Tickets in the queues. It changes only under mu, together with the
+  /// queues, so lock-free readers never see it wrap below zero.
+  std::atomic<std::size_t> backlog{0};
+  int fed = 0;       ///< workers [0, fed) take tickets
+  int idle_fed = 0;  ///< fed workers waiting on ticket_cv
+  /// stop() clears accepting and sets draining in one critical section, so
+  /// every ticket a submit pushed is in the queues before any worker can
+  /// see draining, and the workers run it before they exit.
   bool accepting = false;
+  bool draining = false;
   /// Per-tenant accepted-but-not-completed counts (quota enforcement).
   std::map<std::string, std::shared_ptr<std::atomic<std::int64_t>>,
            std::less<>>
       tenant_inflight;
 
-  flow::FarmController farm_ctl;
-  std::thread scaler;
   std::atomic<bool> scaler_stop{false};
   std::atomic<int> workers_active{0};
 
   std::atomic<bool> running{false};
-  std::atomic<bool> draining{false};
   bool started = false;   ///< owner-thread lifecycle state
   bool finished = false;
-  std::atomic<std::size_t> backlog{0};
   std::atomic<std::uint64_t> next_job_id{1};
   std::atomic<std::uint64_t> submit_seq{0};
   std::atomic<bool> latency_overloaded{false};
@@ -166,7 +338,6 @@ struct ServiceImpl {
   std::atomic<std::uint64_t> shed{0};
   std::atomic<std::uint64_t> quota_rejects{0};
   std::atomic<std::uint64_t> completed{0};
-  std::atomic<std::uint64_t> cancelled{0};
   std::atomic<std::uint64_t> deadline_miss{0};
   std::atomic<std::uint64_t> scale_ups{0};
   std::atomic<std::uint64_t> scale_downs{0};
@@ -176,9 +347,11 @@ struct ServiceImpl {
 
   telemetry::Counter* shed_counter = nullptr;
   telemetry::Counter* miss_counter = nullptr;
+  telemetry::Counter* drop_counter = nullptr;
   telemetry::Counter* accepted_counter = nullptr;
   telemetry::Counter* completed_counter = nullptr;
   telemetry::Histogram* latency_hist = nullptr;
+  telemetry::Histogram* complete_hist = nullptr;
   telemetry::Counter* quota_counter = nullptr;
   telemetry::Gauge* workers_gauge = nullptr;
   telemetry::Counter* scale_up_counter = nullptr;
@@ -186,136 +359,12 @@ struct ServiceImpl {
   const char* scale_up_span = nullptr;
   const char* scale_down_span = nullptr;
 
-  std::unique_ptr<flow::Pipeline> pipeline;
-  std::thread runner;
-  Status run_status;
+  // Last, after everything the threads use; stop() joins them.
+  std::vector<std::thread> workers;
+  std::thread scaler;
 };
 
 }  // namespace detail
-
-namespace {
-
-/// Pipeline source: drains the tenant queues weighted-round-robin (see
-/// ServiceConfig::tenant_weights); idles politely
-/// when empty and ends the stream once the service is draining and dry.
-class SourceNode final : public flow::Node {
- public:
-  explicit SourceNode(detail::ServiceImpl* impl) : impl_(impl) {}
-
-  flow::SvcResult svc(flow::Item) override {
-    Ticket ticket;
-    if (impl_->pop_next(ticket)) return emit(std::move(ticket));
-    if (impl_->draining.load(std::memory_order_acquire)) {
-      // The failed pop above raced submissions that were still allowed in:
-      // a ticket accepted between that pop and this draining read would be
-      // stranded by an immediate EOS. stop() closes admission (under the
-      // queue mutex) *before* setting draining, so every accepted ticket
-      // happens-before this read — one more pop under the mutex observes
-      // them all, and only a genuinely dry queue ends the stream.
-      if (impl_->pop_next(ticket)) return emit(std::move(ticket));
-      return flow::SvcResult::Eos();
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-    return flow::SvcResult::GoOn();
-  }
-
- private:
-  static flow::SvcResult emit(Ticket ticket) {
-    const std::uint64_t deadline = ticket.deadline_ns;
-    flow::Item item = flow::Item::make<Ticket>(std::move(ticket));
-    if (deadline != 0) item.set_deadline_ns(deadline);
-    return flow::SvcResult::Out(std::move(item));
-  }
-
- private:
-  detail::ServiceImpl* impl_;
-};
-
-/// Farm worker: executes the job through the JobEngine ladder. Expired
-/// items never reach svc() — the flow runtime forwards them unserviced, so
-/// an expired job never occupies a GPU slot.
-class WorkerNode final : public flow::Node {
- public:
-  explicit WorkerNode(detail::ServiceImpl* impl) : impl_(impl) {}
-
-  void on_init(int replica_id) override {
-    engine_ = std::make_unique<JobEngine>(
-        impl_->machine, &impl_->breakers,
-        impl_->tracker.has_value() ? &*impl_->tracker : nullptr,
-        impl_->config.retry, &impl_->retry_stats, replica_id);
-  }
-
-  flow::SvcResult svc(flow::Item in) override {
-    const std::uint64_t deadline = in.deadline_ns();
-    Ticket ticket = in.take<Ticket>();
-    ticket.result = engine_->run(ticket.request);
-    flow::Item out = flow::Item::make<Ticket>(std::move(ticket));
-    // Re-arm the envelope deadline so the miss is still visible at the sink
-    // if the budget expires between here and completion.
-    if (deadline != 0) out.set_deadline_ns(deadline);
-    return flow::SvcResult::Out(std::move(out));
-  }
-
-  // Frees the engine's device scratch while the machine is still bound.
-  void on_end() override { engine_.reset(); }
-
- private:
-  detail::ServiceImpl* impl_;
-  std::unique_ptr<JobEngine> engine_;
-};
-
-/// Sink: finalizes the ticket — latency, deadline-miss accounting, promise
-/// completion — and periodically refreshes the breaker gauges.
-class SinkNode final : public flow::Node {
- public:
-  explicit SinkNode(detail::ServiceImpl* impl) : impl_(impl) {}
-
-  flow::SvcResult svc(flow::Item in) override {
-    const bool expired = in.deadline_expired();
-    Ticket ticket = in.take<Ticket>();
-    const std::uint64_t now = flow::deadline_clock_now();
-    ticket.result.latency_ns =
-        now > ticket.submit_ns ? now - ticket.submit_ns : 0;
-    ticket.result.deadline_missed =
-        expired || (ticket.deadline_ns != 0 && now > ticket.deadline_ns);
-    if (expired) {
-      // Never executed: the runtime skipped every stage once the budget ran
-      // out, so there is no result payload to report.
-      ticket.result.status = Aborted("deadline budget exhausted in queue");
-    }
-    if (ticket.result.deadline_missed) {
-      impl_->deadline_miss.fetch_add(1, std::memory_order_relaxed);
-      if (impl_->miss_counter != nullptr) impl_->miss_counter->add(1);
-      if (auto* tc = impl_->tenant_counters(ticket.tenant); tc != nullptr) {
-        tc->deadline_miss->add(1);
-      }
-    }
-    impl_->completed.fetch_add(1, std::memory_order_relaxed);
-    if (impl_->completed_counter != nullptr) impl_->completed_counter->add(1);
-    if (impl_->latency_hist != nullptr) {
-      impl_->latency_hist->record(ticket.result.latency_ns);
-    }
-    if (ticket.inflight != nullptr) {
-      ticket.inflight->fetch_sub(1, std::memory_order_relaxed);
-    }
-    if (ticket.promise != nullptr) {
-      ticket.promise->set_value(std::move(ticket.result));
-    }
-    if (++since_publish_ >= 64) {
-      since_publish_ = 0;
-      impl_->breakers.publish();
-    }
-    return flow::SvcResult::GoOn();
-  }
-
-  void on_end() override { impl_->breakers.publish(); }
-
- private:
-  detail::ServiceImpl* impl_;
-  int since_publish_ = 0;
-};
-
-}  // namespace
 
 Service::Service(gpusim::Machine* machine, ServiceConfig config)
     : impl_(std::make_unique<detail::ServiceImpl>(machine, std::move(config))) {}
@@ -323,138 +372,61 @@ Service::Service(gpusim::Machine* machine, ServiceConfig config)
 Service::~Service() { (void)stop(); }
 
 Status Service::start() {
-  if (impl_->started) return FailedPrecondition("service already started");
-  impl_->started = true;
-  impl_->draining.store(false, std::memory_order_release);
-
-  flow::PipelineOptions opts;
-  opts.queue_capacity = impl_->config.queue_capacity;
-  opts.telemetry.registry = impl_->config.registry;
-  opts.telemetry.spans = impl_->config.spans;
-  opts.telemetry.sampler = impl_->config.sampler;
-  opts.telemetry.prefix = impl_->config.prefix;
-  impl_->pipeline = std::make_unique<flow::Pipeline>(opts);
   detail::ServiceImpl* impl = impl_.get();
-  impl_->pipeline->add_stage(std::make_unique<SourceNode>(impl), "ingest");
-  const ScalePolicy& scale = impl_->config.scale;
+  if (impl->started) return FailedPrecondition("service already started");
+  impl->started = true;
+
+  const ScalePolicy& scale = impl->config.scale;
   const bool elastic = scale.enabled();
-  flow::FarmOptions farm;
-  // Elastic mode provisions the farm at the ceiling and lets the controller
-  // bound how many replicas the emitter feeds; the surplus park on empty
-  // queues. Fixed mode is byte-identical to the pre-elastic service.
-  farm.replicas = elastic ? scale.max_workers : impl_->config.workers;
-  farm.ordered = false;
-  farm.policy = flow::SchedPolicy::kLeastLoaded;
-  farm.controller = elastic ? &impl_->farm_ctl : nullptr;
-  impl_->pipeline->add_farm(
-      [impl] { return std::make_unique<WorkerNode>(impl); }, farm, "exec");
-  impl_->pipeline->add_stage(std::make_unique<SinkNode>(impl), "complete");
-
+  // Elastic mode starts the ceiling's worth of workers and feeds `initial`
+  // of them; the unfed ones wait for a resize.
   const int initial =
-      elastic ? std::clamp(impl_->config.workers, scale.min_workers,
+      elastic ? std::clamp(impl->config.workers, scale.min_workers,
                            scale.max_workers)
-              : impl_->config.workers;
-  if (elastic) impl_->farm_ctl.set_active(initial);
-  impl_->workers_active.store(initial, std::memory_order_relaxed);
-  if (impl_->workers_gauge != nullptr) {
-    impl_->workers_gauge->set(static_cast<double>(initial));
+              : impl->config.workers;
+  impl->workers_active.store(initial, std::memory_order_relaxed);
+  if (impl->workers_gauge != nullptr) {
+    impl->workers_gauge->set(static_cast<double>(initial));
   }
-
   {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    impl_->accepting = true;
+    std::lock_guard<std::mutex> lock(impl->mu);
+    impl->fed = initial;
+    impl->accepting = true;
   }
-  impl_->running.store(true, std::memory_order_release);
-  impl_->runner = std::thread([impl] {
-    Status s = impl->pipeline->run_and_wait();
-    impl->run_status = s;  // read only after join in stop()
-  });
+  impl->running.store(true, std::memory_order_release);
+  const int count = elastic ? scale.max_workers : impl->config.workers;
+  impl->workers.reserve(static_cast<std::size_t>(count));
+  for (int i = 0; i < count; ++i) {
+    impl->workers.emplace_back([impl, i] { impl->work(i); });
+  }
   if (elastic) {
-    impl_->scaler_stop.store(false, std::memory_order_relaxed);
-    impl_->scaler = std::thread([impl, scale, initial] {
-      ScaleDecider decider(scale, initial, ScaleDecider::Clock::now());
-      while (!impl->scaler_stop.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(scale.sample_interval);
-        const auto resize = decider.observe(
-            ScaleDecider::Clock::now(),
-            impl->backlog.load(std::memory_order_relaxed),
-            impl->latency_overloaded.load(std::memory_order_relaxed));
-        if (!resize.has_value()) continue;
-        const int prev = impl->workers_active.load(std::memory_order_relaxed);
-        const std::uint64_t t0 = impl->config.spans != nullptr
-                                     ? impl->config.spans->now_ns()
-                                     : 0;
-        impl->farm_ctl.set_active(*resize);
-        impl->workers_active.store(*resize, std::memory_order_relaxed);
-        if (impl->workers_gauge != nullptr) {
-          impl->workers_gauge->set(static_cast<double>(*resize));
-        }
-        const bool grew = *resize > prev;
-        if (grew) {
-          impl->scale_ups.fetch_add(1, std::memory_order_relaxed);
-          if (impl->scale_up_counter != nullptr) {
-            impl->scale_up_counter->add(1);
-          }
-        } else {
-          impl->scale_downs.fetch_add(1, std::memory_order_relaxed);
-          if (impl->scale_down_counter != nullptr) {
-            impl->scale_down_counter->add(1);
-          }
-        }
-        if (impl->config.spans != nullptr) {
-          impl->config.spans->record(
-              grew ? impl->scale_up_span : impl->scale_down_span, t0,
-              impl->config.spans->now_ns());
-        }
-      }
+    impl->scaler = std::thread([impl, scale, initial] {
+      impl->scale(scale, initial);
     });
   }
   return OkStatus();
 }
 
 Status Service::stop() {
-  if (!impl_->started) return OkStatus();
-  if (impl_->finished) return impl_->run_status;
-  impl_->running.store(false, std::memory_order_release);
-  // Close admission under the queue mutex BEFORE announcing draining: a
-  // submit that already passed the lock-free running check either beats
-  // this critical section (its ticket is then visible to the source's
-  // final pop) or observes accepting == false and is rejected. Without
-  // this ordering a ticket could land in the queue after the source went
-  // EOS and its future would never resolve.
+  detail::ServiceImpl* impl = impl_.get();
+  if (!impl->started || impl->finished) return OkStatus();
+  impl->running.store(false, std::memory_order_release);
+  // A submit that already passed the lock-free running check either pushes
+  // before this critical section (the workers then run its ticket) or sees
+  // accepting == false and is rejected.
   {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    impl_->accepting = false;
+    std::lock_guard<std::mutex> lock(impl->mu);
+    impl->accepting = false;
+    impl->draining = true;
   }
-  impl_->draining.store(true, std::memory_order_release);
-  if (impl_->runner.joinable()) impl_->runner.join();
-  impl_->scaler_stop.store(true, std::memory_order_release);
-  if (impl_->scaler.joinable()) impl_->scaler.join();
-  // Belt-and-braces for abnormal ends (watchdog abort, stage failure):
-  // a pipeline that died early leaves accepted tickets queued. Resolve
-  // every one of them so no caller blocks on a future forever.
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    Ticket ticket;
-    while (impl_->wrr.pop(ticket)) {
-      impl_->backlog.fetch_sub(1, std::memory_order_relaxed);
-      impl_->cancelled.fetch_add(1, std::memory_order_relaxed);
-      impl_->completed.fetch_add(1, std::memory_order_relaxed);
-      if (impl_->completed_counter != nullptr) {
-        impl_->completed_counter->add(1);
-      }
-      if (ticket.inflight != nullptr) {
-        ticket.inflight->fetch_sub(1, std::memory_order_relaxed);
-      }
-      if (ticket.promise != nullptr) {
-        ticket.result.status = Aborted("service stopped before the job ran");
-        ticket.promise->set_value(std::move(ticket.result));
-      }
-    }
-  }
-  impl_->finished = true;
-  impl_->breakers.publish();
-  return impl_->run_status;
+  impl->ticket_cv.notify_all();
+  impl->resize_cv.notify_all();
+  for (std::thread& worker : impl->workers) worker.join();
+  impl->scaler_stop.store(true, std::memory_order_release);
+  if (impl->scaler.joinable()) impl->scaler.join();
+  impl->finished = true;
+  impl->breakers.publish();
+  return OkStatus();
 }
 
 SubmitResult Service::submit(std::string_view tenant, JobRequest request,
@@ -515,7 +487,7 @@ SubmitResult Service::submit(std::string_view tenant, JobRequest request,
   ticket.request = std::move(request);
   ticket.tenant = std::string(tenant);
   ticket.job_id = impl_->next_job_id.fetch_add(1, std::memory_order_relaxed);
-  ticket.submit_ns = flow::deadline_clock_now();
+  ticket.submit_ns = now_ns();
   const std::uint64_t budget = ticket.request.deadline_budget_ns != 0
                                    ? ticket.request.deadline_budget_ns
                                    : cfg.default_deadline_ns;
@@ -529,10 +501,9 @@ SubmitResult Service::submit(std::string_view tenant, JobRequest request,
   {
     std::lock_guard<std::mutex> lock(impl_->mu);
     // Re-check admission under the queue mutex: the lock-free running
-    // check above can race stop(), but accepting is flipped under mu
-    // before draining is announced, so a push from here is guaranteed to
-    // be drained (by the source or by stop()'s leftover sweep) rather
-    // than stranded behind an EOS.
+    // check above can race stop(), but stop() clears accepting in the same
+    // critical section that starts draining, so a ticket pushed here is
+    // run by the workers before they exit.
     if (!impl_->accepting) {
       out.result = {};
       return reject(RejectCode::kShuttingDown, "service not accepting work");
@@ -554,7 +525,7 @@ SubmitResult Service::submit(std::string_view tenant, JobRequest request,
       return reject(RejectCode::kOverload, "tenant queue over watermark");
     }
     // Last check before the push so a later reject can't leak the
-    // increment; the sink (or stop()'s sweep) owns the matching decrement.
+    // increment; the completing worker owns the matching decrement.
     if (cfg.tenant_quota_inflight != 0) {
       auto it = impl_->tenant_inflight.find(tenant);
       if (it == impl_->tenant_inflight.end()) {
@@ -571,10 +542,12 @@ SubmitResult Service::submit(std::string_view tenant, JobRequest request,
       it->second->fetch_add(1, std::memory_order_relaxed);
       ticket.inflight = it->second;
     }
+    // Counted with the push, so backlog() never exceeds the accepted count.
+    impl_->accepted.fetch_add(1, std::memory_order_relaxed);
     impl_->wrr.push(tenant, std::move(ticket));
+    impl_->backlog.fetch_add(1, std::memory_order_relaxed);
   }
-  impl_->backlog.fetch_add(1, std::memory_order_relaxed);
-  impl_->accepted.fetch_add(1, std::memory_order_relaxed);
+  impl_->ticket_cv.notify_one();
   if (impl_->accepted_counter != nullptr) impl_->accepted_counter->add(1);
   if (auto* tc = impl_->tenant_counters(tenant); tc != nullptr) {
     tc->accepted->add(1);
@@ -589,7 +562,6 @@ ServiceStats Service::stats() const {
   s.shed = impl_->shed.load(std::memory_order_relaxed);
   s.quota_rejects = impl_->quota_rejects.load(std::memory_order_relaxed);
   s.completed = impl_->completed.load(std::memory_order_relaxed);
-  s.cancelled = impl_->cancelled.load(std::memory_order_relaxed);
   s.deadline_miss = impl_->deadline_miss.load(std::memory_order_relaxed);
   s.cpu_jobs = impl_->retry_stats.cpu_fallbacks.load(std::memory_order_relaxed);
   s.breaker_trips = impl_->breakers.total_trips();
@@ -611,11 +583,6 @@ telemetry::HistogramSnapshot Service::latency() const {
 
 std::size_t Service::backlog() const {
   return impl_->backlog.load(std::memory_order_relaxed);
-}
-
-std::string Service::failure_summary() const {
-  if (!impl_->finished || impl_->pipeline == nullptr) return {};
-  return impl_->pipeline->failure_report().ToString();
 }
 
 }  // namespace hs::serve

@@ -1,29 +1,30 @@
-// Long-running multi-tenant job service over the stream runtime.
+// Long-running multi-tenant job service.
 //
 // The service wraps the dedup and mandel pipelines behind named job
-// submission: tenants submit() JobRequests into bounded per-tenant queues;
-// a persistent flow::Pipeline (source -> worker farm -> sink) drains them.
-// Overload protection is layered (paper §V's "the runtime must not fall
+// submission: tenants submit() JobRequests into bounded per-tenant queues,
+// and a pool of workers takes the next job from those queues in weighted
+// round-robin order, runs it on its own JobEngine and completes its ticket
+// on the same thread. Overload protection is layered (paper §V's "the runtime must not fall
 // over when the offered load exceeds the service rate"):
 //
 //   * admission control — a full tenant queue, a queue-depth watermark, or
 //     the observed p99 latency crossing its budget sheds new work at
 //     submit() with an explicit Rejected{kOverload} (counted in
 //     "<prefix>.shed") instead of queueing it into a latency cliff;
-//   * deadline budgets — accepted jobs carry an absolute deadline through
-//     the pipeline; the flow runtime drops expired work at stage
-//     boundaries (it never occupies a GPU slot) and the sink completes the
-//     ticket as a miss ("<prefix>.deadline_miss");
+//   * deadline budgets — accepted jobs carry an absolute deadline; a worker
+//     that takes an expired ticket completes it as a miss without running
+//     it ("<prefix>.deadline_drops"), so expired work never occupies a GPU
+//     slot, and every late completion counts in "<prefix>.deadline_miss";
 //   * circuit breakers + jittered retries — per-device breakers gate the
 //     JobEngine's device choice, with capped-exponential decorrelated
 //     jitter between retry attempts (common/retry.hpp);
 //   * per-tenant quotas — hard caps on one tenant's queued and in-flight
 //     jobs, rejected with Rejected{kQuota} (counted in
 //     "<prefix>.tenant.<name>.quota_rejects") so a single hot tenant
-//     cannot monopolize the farm however much global capacity remains;
-//   * elastic workers — when ServiceConfig::scale is enabled the farm is
-//     provisioned at scale.max_workers and a controller thread grows and
-//     shrinks the fed-worker count with the backlog (serve/scale.hpp);
+//     cannot monopolize the workers however much global capacity remains;
+//   * elastic workers — when ServiceConfig::scale is enabled the service
+//     starts scale.max_workers workers and a controller thread grows and
+//     shrinks how many of them take jobs with the backlog (serve/scale.hpp);
 //     "<prefix>.workers" gauges the current count and every resize bumps
 //     "<prefix>.scale_up"/"<prefix>.scale_down" and records a span.
 #pragma once
@@ -74,9 +75,9 @@ struct SubmitResult {
 struct ServiceConfig {
   int workers = 4;
   /// Elastic worker scaling (serve/scale.hpp). Disabled by default; when
-  /// scale.enabled() the farm is provisioned at scale.max_workers, starts
-  /// with `workers` fed (clamped into [min, max]) and a controller thread
-  /// resizes it with the backlog.
+  /// scale.enabled() the service starts scale.max_workers workers, feeds
+  /// `workers` of them (clamped into [min, max]) and a controller thread
+  /// moves the fed count with the backlog.
   ScalePolicy scale;
   /// Per-tenant quota on *queued* jobs (0 = unlimited). Checked before the
   /// shared queue-capacity/watermark sheds; rejections are kQuota, not
@@ -92,8 +93,8 @@ struct ServiceConfig {
   /// tenant whose backlog reaches it sheds even though space remains, so
   /// accepted jobs keep a bounded wait. >= 1.0 disables the soft shed.
   double shed_watermark = 0.75;
-  /// Weighted round-robin over the tenant queues: the drain loop serves up
-  /// to `weight` consecutive jobs from a tenant before advancing to the
+  /// Weighted round-robin over the tenant queues: the workers take up to
+  /// `weight` consecutive jobs from a tenant before advancing to the
   /// next non-empty queue. Unlisted tenants (and weights < 1) get weight 1,
   /// which reduces WRR to the plain round-robin rotation — a service with
   /// no weights configured drains byte-identically to one predating them.
@@ -110,15 +111,18 @@ struct ServiceConfig {
   sched::SchedMode sched = sched::SchedMode::kStatic;
   RetryPolicy retry;
   sched::BreakerConfig breaker;
-  /// flow queue capacity between source/farm/sink.
+  /// Has no effect: workers take jobs straight from the tenant queues, so
+  /// no queue sits between them. Kept until its last setter goes.
   std::size_t queue_capacity = 256;
   /// Telemetry sinks (null = uninstrumented). Metric names use `prefix`;
   /// besides the aggregate counters, each tenant gets a lazily-registered
   /// "<prefix>.tenant.<name>.{accepted,shed,deadline_miss,quota_rejects}"
-  /// slice plus a "<prefix>.tenant.<name>.weight" gauge.
+  /// slice plus a "<prefix>.tenant.<name>.weight" gauge. Worker i times
+  /// each job it runs into "<prefix>.exec.w<i>.svc_ns" and each completion
+  /// into "<prefix>.complete.svc_ns"; with `spans` set it also records a
+  /// span per job it runs, on its own thread.
   telemetry::Registry* registry = nullptr;
   telemetry::SpanRecorder* spans = nullptr;
-  telemetry::QueueDepthSampler* sampler = nullptr;
   std::string prefix = "serve";
 };
 
@@ -133,7 +137,9 @@ struct ServiceStats {
   std::uint64_t shed = 0;
   std::uint64_t quota_rejects = 0;   ///< Rejected{kQuota} submissions
   std::uint64_t completed = 0;
-  std::uint64_t cancelled = 0;       ///< accepted but resolved by stop()
+  /// Accepted but never run. stop() lets the workers run every accepted
+  /// job, so this stays 0.
+  std::uint64_t cancelled = 0;
   std::uint64_t deadline_miss = 0;
   std::uint64_t cpu_jobs = 0;        ///< jobs finished on the CPU rung
   std::uint64_t breaker_trips = 0;
@@ -153,11 +159,12 @@ class Service {
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  /// Spawns the pipeline. Fails if already started.
+  /// Starts the workers. Fails if already started.
   Status start();
 
-  /// Drains accepted work, stops the pipeline and joins it. Idempotent.
-  /// Returns the pipeline's run status.
+  /// Closes admission, lets the workers run every accepted job and joins
+  /// them. Idempotent; always OK, since a job that throws completes its own
+  /// ticket with kInternal.
   Status stop();
 
   /// Admission-controlled enqueue for `tenant`. With want_result=false the
@@ -172,9 +179,6 @@ class Service {
   [[nodiscard]] telemetry::HistogramSnapshot latency() const;
   /// Jobs currently queued across all tenants.
   [[nodiscard]] std::size_t backlog() const;
-  /// Per-stage failure summary of the run ("" while running or when clean);
-  /// meaningful after stop().
-  [[nodiscard]] std::string failure_summary() const;
 
  private:
   std::unique_ptr<detail::ServiceImpl> impl_;

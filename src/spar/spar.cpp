@@ -99,7 +99,6 @@ Status ToStream::run(const Options& options) {
   ran_ = true;
 
   flow::PipelineOptions popts;
-  popts.wait_mode = flow::WaitMode::kBlocking;
   popts.pin = options.pin;
 
   flow::Pipeline pipe(popts);
@@ -108,9 +107,7 @@ Status ToStream::run(const Options& options) {
   for (StageDecl& s : stages_) {
     std::string sname = name_ + ".stage" + std::to_string(i++);
     if (s.lowers_to_farm()) {
-      pipe.add_farm(std::move(s.factory),
-                    flow::FarmOptions{.replicas = s.replicas, .ordered = true},
-                    sname);
+      pipe.add_farm(std::move(s.factory), s.replicas, sname);
     } else {
       pipe.add_stage(s.factory(), sname);
     }

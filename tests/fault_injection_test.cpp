@@ -10,6 +10,7 @@
 // mandel and dedup.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <functional>
 #include <optional>
 #include <ostream>
@@ -229,11 +230,16 @@ TEST(RetryTest, ExhaustsAfterMaxAttempts) {
 }
 
 /// Runs `run` while a watcher marks `device` lost as soon as one of its ops
-/// is in flight, so the loss usually lands while a kernel or copy body runs
-/// and that op fails at commit; the device ladder must re-run its pass.
+/// is in flight, so the loss lands while a kernel or copy body runs and
+/// that op fails at commit; the device ladder must re-run its pass. The
+/// watcher is polling before `run` starts, and callers size the run so
+/// that bodies are in flight for most of it: the loss then lands however
+/// busy or idle the host is.
 template <typename Run>
 auto run_losing_mid_op(gpusim::Device& device, Run run) {
-  std::jthread watcher([&device](std::stop_token stop) {
+  std::atomic<bool> armed{false};
+  std::jthread watcher([&device, &armed](std::stop_token stop) {
+    armed.store(true, std::memory_order_release);
     while (!stop.stop_requested()) {
       if (device.ops_in_flight() > 0) {
         device.mark_lost();
@@ -242,6 +248,7 @@ auto run_losing_mid_op(gpusim::Device& device, Run run) {
       std::this_thread::yield();
     }
   });
+  while (!armed.load(std::memory_order_acquire)) std::this_thread::yield();
   return run();
 }
 
@@ -301,15 +308,21 @@ TEST_F(MandelFaultTest, StickyDeviceLossMigratesToSurvivor) {
 }
 
 TEST_F(MandelFaultTest, DeviceLostWhileABodyRunsMigratesBitExactly) {
+  // Lines long enough that a kernel body is in flight for most of the run:
+  // the fixture's 64x100 frame can finish before the watcher looks.
+  kernels::MandelParams params;
+  params.dim = 256;
+  params.niter = 2000;
+  const std::vector<std::uint8_t> reference = mandel::render_sequential(params);
   auto machine = gpusim::Machine::Create(2, gpusim::DeviceSpec::TitanXP());
   cudax::bind_machine(machine.get());
   RetryStats stats;
   auto r = run_losing_mid_op(machine->device(0), [&] {
-    return mandel::render_spar_cuda(params_, 4, *machine, &stats);
+    return mandel::render_spar_cuda(params, 4, *machine, &stats);
   });
   cudax::unbind_machine();
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r.value(), reference_);
+  EXPECT_EQ(r.value(), reference);
   EXPECT_TRUE(machine->device(0).lost());
   EXPECT_FALSE(machine->device(1).lost());
   EXPECT_GT(stats.device_losses.load(), 0u);
@@ -441,15 +454,24 @@ TEST_F(DedupFaultTest, DeviceLossMidArchiveStaysBitExact) {
 }
 
 TEST_F(DedupFaultTest, DeviceLostWhileABodyRunsStaysBitExact) {
+  // Five times the fixture's input, so hash bodies are in flight through
+  // more of the run and the watcher cannot miss them all.
+  datagen::CorpusSpec spec;
+  spec.kind = datagen::CorpusKind::kParsecLike;
+  spec.bytes = 1000 * 1024;
+  spec.seed = 123;
+  const std::vector<std::uint8_t> input = datagen::generate(spec);
+  auto reference = dedup::archive_sequential(input, cfg_);
+  ASSERT_TRUE(reference.ok());
   auto machine = gpusim::Machine::Create(2, gpusim::DeviceSpec::TitanXP());
   cudax::bind_machine(machine.get());
   RetryStats stats;
   auto r = run_losing_mid_op(machine->device(0), [&] {
-    return dedup::archive_spar_cuda(input_, cfg_, 4, *machine, &stats);
+    return dedup::archive_spar_cuda(input, cfg_, 4, *machine, &stats);
   });
   cudax::unbind_machine();
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r.value(), reference_);
+  EXPECT_EQ(r.value(), reference.value());
   EXPECT_TRUE(machine->device(0).lost());
   EXPECT_GT(stats.device_losses.load(), 0u);
   EXPECT_EQ(machine->device(0).ops_in_flight(), 0u);
@@ -715,12 +737,17 @@ void expect_clean_after_steals(
   auto machine = gpusim::Machine::Create(2, gpusim::DeviceSpec::TitanXP());
   cudax::bind_machine(machine.get());
   sched::DeviceLoadTracker tracker(machine->device_count());
+  // Two balanced devices running concurrently may never leave one idle, so
+  // a unit held on the first pick keeps that device busy: a worker bound to
+  // it steals whenever the other device has nothing in flight.
+  const int held = tracker.acquire();
   int runs = 0;
   bool all_ok = true;
   while (tracker.steals() == 0 && runs < 50) {
     all_ok = run_once(*machine, tracker) && all_ok;
     ++runs;
   }
+  tracker.abandon(held);
   cudax::unbind_machine();
   EXPECT_TRUE(all_ok);
   ASSERT_GT(tracker.steals(), 0u) << "no steal in " << runs << " runs";

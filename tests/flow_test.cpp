@@ -1,9 +1,8 @@
 // Tests for the flow runtime: SPSC queue (including a concurrent FIFO
-// property test), Item type erasure, pipelines, farms (ordered/unordered),
-// scheduling policies, emit(), and error propagation.
+// property test), Item type erasure, pipelines, ordered round-robin farms,
+// emit(), and error propagation.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <limits>
@@ -340,7 +339,7 @@ TEST(PipelineTest, ValidationErrors) {
   {
     Pipeline p;
     p.add_farm(stage_factory<int, int>([](int v) { return v; }),
-               FarmOptions{.replicas = 2});
+               2);
     p.add_stage(make_sink<int>([](int) {}), "sink");
     EXPECT_EQ(p.run_and_wait().code(), ErrorCode::kInvalidArgument);
   }
@@ -388,23 +387,6 @@ TEST(PipelineTest, SmallQueueCapacityStillCorrect) {
   ASSERT_TRUE(p.run_and_wait().ok());
   ASSERT_EQ(got.size(), 5000u);
   for (int i = 0; i < 5000; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], i + 1);
-}
-
-TEST(PipelineTest, BlockingWaitModeWorks) {
-  PipelineOptions opts;
-  opts.wait_mode = WaitMode::kBlocking;
-  opts.queue_capacity = 4;  // force both full and empty waits
-  Pipeline p(opts);
-  std::vector<int> got;
-  p.add_stage(counting_source(3000), "src");
-  p.add_farm(stage_factory<int, int>([](int v) { return v + 1; }),
-             FarmOptions{.replicas = 3, .ordered = true}, "farm");
-  p.add_stage(make_sink<int>([&](int v) { got.push_back(v); }), "sink");
-  ASSERT_TRUE(p.run_and_wait().ok());
-  ASSERT_EQ(got.size(), 3000u);
-  for (int i = 0; i < 3000; ++i) {
-    EXPECT_EQ(got[static_cast<std::size_t>(i)], i + 1);
-  }
 }
 
 TEST(PipelineTest, SourceEmitMultiplePerSvc) {
@@ -465,18 +447,6 @@ TEST(PipelineTest, ReportsCountItems) {
 
 // ---- Farm ----------------------------------------------------------------------
 
-TEST(FarmTest, UnorderedFarmProcessesAll) {
-  Pipeline p;
-  std::multiset<int> got;
-  p.add_stage(counting_source(3000), "src");
-  p.add_farm(stage_factory<int, int>([](int v) { return v * 3; }),
-             FarmOptions{.replicas = 4}, "triple");
-  p.add_stage(make_sink<int>([&](int v) { got.insert(v); }), "sink");
-  ASSERT_TRUE(p.run_and_wait().ok());
-  ASSERT_EQ(got.size(), 3000u);
-  for (int i = 0; i < 3000; ++i) EXPECT_EQ(got.count(i * 3), 1u);
-}
-
 TEST(FarmTest, OrderedFarmPreservesSequence) {
   Pipeline p;
   std::vector<int> got;
@@ -487,220 +457,11 @@ TEST(FarmTest, OrderedFarmPreservesSequence) {
                while (spin > 0) { spin = spin - 1; }
                return v;
              }),
-             FarmOptions{.replicas = 5, .ordered = true}, "id");
+             5, "id");
   p.add_stage(make_sink<int>([&](int v) { got.push_back(v); }), "sink");
   ASSERT_TRUE(p.run_and_wait().ok());
   ASSERT_EQ(got.size(), 5000u);
   for (int i = 0; i < 5000; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
-}
-
-TEST(FarmTest, LeastLoadedFarmProcessesAll) {
-  Pipeline p;
-  std::multiset<int> got;
-  p.add_stage(counting_source(3000), "src");
-  p.add_farm(stage_factory<int, int>([](int v) {
-               // One item class is slow, so the shallowest-queue choice
-               // genuinely varies between pushes.
-               if (v % 11 == 0) {
-                 volatile int spin = 400;
-                 while (spin > 0) { spin = spin - 1; }
-               }
-               return v;
-             }),
-             FarmOptions{.replicas = 4, .policy = SchedPolicy::kLeastLoaded},
-             "ll");
-  p.add_stage(make_sink<int>([&](int v) { got.insert(v); }), "sink");
-  ASSERT_TRUE(p.run_and_wait().ok());
-  ASSERT_EQ(got.size(), 3000u);
-  for (int i = 0; i < 3000; ++i) EXPECT_EQ(got.count(i), 1u);
-}
-
-TEST(FarmTest, LeastLoadedOrderedFarmPreservesSequence) {
-  Pipeline p;
-  std::vector<int> got;
-  p.add_stage(counting_source(4000), "src");
-  p.add_farm(stage_factory<int, int>([](int v) {
-               volatile int spin = (v % 5) * 60;
-               while (spin > 0) { spin = spin - 1; }
-               return v;
-             }),
-             FarmOptions{.replicas = 4,
-                         .ordered = true,
-                         .policy = SchedPolicy::kLeastLoaded},
-             "ll");
-  p.add_stage(make_sink<int>([&](int v) { got.push_back(v); }), "sink");
-  ASSERT_TRUE(p.run_and_wait().ok());
-  ASSERT_EQ(got.size(), 4000u);
-  for (int i = 0; i < 4000; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
-}
-
-/// True once `flag` is set, false if `limit` passed first.
-bool wait_for_flag(const std::atomic<bool>& flag,
-                   std::chrono::milliseconds limit) {
-  const auto until = std::chrono::steady_clock::now() + limit;
-  while (!flag.load(std::memory_order_acquire)) {
-    if (std::chrono::steady_clock::now() > until) return false;
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  return true;
-}
-
-/// Farm worker whose replica 0 holds its first item until `release` is set
-/// (bounded), raising `serving` while it holds.
-class HoldFirstOnReplicaZero final : public Node {
- public:
-  HoldFirstOnReplicaZero(std::atomic<bool>* serving,
-                         const std::atomic<bool>* release,
-                         std::atomic<bool>* timed_out)
-      : serving_(serving), release_(release), timed_out_(timed_out) {}
-  void on_init(int replica_id) override { replica_ = replica_id; }
-  SvcResult svc(Item in) override {
-    if (replica_ == 0 && !held_) {
-      held_ = true;
-      serving_->store(true, std::memory_order_release);
-      if (!wait_for_flag(*release_, std::chrono::milliseconds(5000))) {
-        timed_out_->store(true);
-      }
-    }
-    return SvcResult::Out(std::move(in));
-  }
-
- private:
-  std::atomic<bool>* serving_;
-  const std::atomic<bool>* release_;
-  std::atomic<bool>* timed_out_;
-  int replica_ = -1;
-  bool held_ = false;
-};
-
-TEST(FarmTest, LeastLoadedRoutesAroundAWorkerStillServing) {
-  // Item 0 goes to replica 0, which holds it until the sink has item 1;
-  // the source emits item 1 only once replica 0 is serving, with its queue
-  // empty. Balancing on queue depth alone ties both workers at 0 and feeds
-  // replica 0 again, so item 1 waits behind the hold until it times out.
-  std::atomic<bool> serving{false};
-  std::atomic<bool> second_done{false};
-  std::atomic<bool> timed_out{false};
-  Pipeline p;
-  p.add_stage(make_source<int>([&, i = 0]() mutable -> std::optional<int> {
-                if (i == 1 && !wait_for_flag(serving,
-                                             std::chrono::milliseconds(5000))) {
-                  timed_out.store(true);
-                }
-                if (i == 2) return std::nullopt;
-                return i++;
-              }),
-              "src");
-  p.add_farm(
-      [&] {
-        return std::make_unique<HoldFirstOnReplicaZero>(&serving, &second_done,
-                                                        &timed_out);
-      },
-      FarmOptions{.replicas = 2, .policy = SchedPolicy::kLeastLoaded}, "ll");
-  std::multiset<int> got;
-  p.add_stage(make_sink<int>([&](int v) {
-                got.insert(v);
-                if (v == 1) second_done.store(true, std::memory_order_release);
-              }),
-              "sink");
-  ASSERT_TRUE(p.run_and_wait().ok());
-  EXPECT_FALSE(timed_out.load());
-  EXPECT_EQ(got, (std::multiset<int>{0, 1}));
-}
-
-/// Farm worker that tallies per-replica item counts into a shared array.
-class ReplicaTally final : public Node {
- public:
-  explicit ReplicaTally(std::array<std::atomic<int>, 8>* counts)
-      : counts_(counts) {}
-  void on_init(int replica_id) override { replica_ = replica_id; }
-  SvcResult svc(Item in) override {
-    (*counts_)[static_cast<std::size_t>(replica_)].fetch_add(
-        1, std::memory_order_relaxed);
-    return SvcResult::Out(std::move(in));
-  }
-
- private:
-  std::array<std::atomic<int>, 8>* counts_;
-  int replica_ = 0;
-};
-
-TEST(FarmTest, ControllerClampsAndBindsToReplicaCount) {
-  FarmController ctl;
-  ctl.set_active(10);  // unbound: only floored at 1
-  EXPECT_GE(ctl.active(), 10);
-  Pipeline p;
-  p.add_stage(counting_source(10), "src");
-  FarmOptions opts;
-  opts.replicas = 4;
-  opts.controller = &ctl;
-  p.add_farm(stage_factory<int, int>([](int v) { return v; }), opts, "farm");
-  p.add_stage(make_sink<int>([](int) {}), "sink");
-  EXPECT_EQ(ctl.replicas(), 4);
-  EXPECT_EQ(ctl.active(), 4);  // bound + clamped
-  ctl.set_active(0);
-  EXPECT_EQ(ctl.active(), 1);  // floor
-  ctl.set_active(99);
-  EXPECT_EQ(ctl.active(), 4);  // ceiling
-  ASSERT_TRUE(p.run_and_wait().ok());
-}
-
-TEST(FarmTest, ControllerAtOneFeedsOnlyReplicaZero) {
-  std::array<std::atomic<int>, 8> counts{};
-  FarmController ctl;
-  Pipeline p;
-  p.add_stage(counting_source(2000), "src");
-  FarmOptions opts;
-  opts.replicas = 4;
-  opts.policy = SchedPolicy::kLeastLoaded;
-  opts.controller = &ctl;
-  p.add_farm([&counts] { return std::make_unique<ReplicaTally>(&counts); },
-             opts, "farm");
-  int got = 0;
-  p.add_stage(make_sink<int>([&](int) { ++got; }), "sink");
-  ctl.set_active(1);
-  ASSERT_TRUE(p.run_and_wait().ok());
-  EXPECT_EQ(got, 2000);
-  EXPECT_EQ(counts[0].load(), 2000);
-  for (std::size_t w = 1; w < 4; ++w) EXPECT_EQ(counts[w].load(), 0) << w;
-}
-
-TEST(FarmTest, ControllerResizeMidRunLosesNothing) {
-  std::array<std::atomic<int>, 8> counts{};
-  FarmController ctl;
-  PipelineOptions popts;
-  popts.queue_capacity = 8;  // keep the emitter honest under resizes
-  Pipeline p(popts);
-  constexpr int kItems = 20000;
-  p.add_stage(counting_source(kItems), "src");
-  FarmOptions opts;
-  opts.replicas = 4;
-  opts.policy = SchedPolicy::kLeastLoaded;
-  opts.controller = &ctl;
-  p.add_farm([&counts] { return std::make_unique<ReplicaTally>(&counts); },
-             opts, "farm");
-  std::multiset<int> got;
-  p.add_stage(make_sink<int>([&](int v) { got.insert(v); }), "sink");
-  ctl.set_active(1);
-  std::atomic<bool> stop{false};
-  std::thread resizer([&] {
-    int n = 1;
-    while (!stop.load(std::memory_order_relaxed)) {
-      ctl.set_active(1 + (n++ % 4));  // oscillate 2,3,4,1,...
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  });
-  Status s = p.run_and_wait();
-  stop.store(true, std::memory_order_relaxed);
-  resizer.join();
-  ASSERT_TRUE(s.ok());
-  ASSERT_EQ(got.size(), static_cast<std::size_t>(kItems));
-  for (int i = 0; i < kItems; ++i) EXPECT_EQ(got.count(i), 1u);
-  int total = 0;
-  for (auto& c : counts) total += c.load();
-  EXPECT_EQ(total, kItems);
-  // The grown phases must actually have engaged extra replicas.
-  EXPECT_GT(counts[1].load() + counts[2].load() + counts[3].load(), 0);
 }
 
 TEST(PipelineTest, PinPolicyReportsPinnedCores) {
@@ -711,7 +472,7 @@ TEST(PipelineTest, PinPolicyReportsPinnedCores) {
   std::vector<int> got;
   p.add_stage(counting_source(200), "src");
   p.add_farm(stage_factory<int, int>([](int v) { return v + 1; }),
-             FarmOptions{.replicas = 2, .ordered = true}, "farm");
+             2, "farm");
   p.add_stage(make_sink<int>([&](int v) { got.push_back(v); }), "sink");
   ASSERT_TRUE(p.run_and_wait().ok());
   ASSERT_EQ(got.size(), 200u);
@@ -750,7 +511,7 @@ TEST(FarmTest, OrderedFarmWithFilteringHoles) {
           return v;
         });
       },
-      FarmOptions{.replicas = 3, .ordered = true}, "drop3");
+      3, "drop3");
   p.add_stage(make_sink<int>([&](int v) { got.push_back(v); }), "sink");
   ASSERT_TRUE(p.run_and_wait().ok());
   std::vector<int> expected;
@@ -765,7 +526,7 @@ TEST(FarmTest, SingleReplicaOrderedFarm) {
   std::vector<int> got;
   p.add_stage(counting_source(100), "src");
   p.add_farm(stage_factory<int, int>([](int v) { return v; }),
-             FarmOptions{.replicas = 1, .ordered = true}, "one");
+             1, "one");
   p.add_stage(make_sink<int>([&](int v) { got.push_back(v); }), "sink");
   ASSERT_TRUE(p.run_and_wait().ok());
   ASSERT_EQ(got.size(), 100u);
@@ -777,9 +538,9 @@ TEST(FarmTest, TwoFarmsBackToBack) {
   std::vector<int> got;
   p.add_stage(counting_source(1000), "src");
   p.add_farm(stage_factory<int, int>([](int v) { return v + 1; }),
-             FarmOptions{.replicas = 2, .ordered = true}, "f1");
+             2, "f1");
   p.add_farm(stage_factory<int, int>([](int v) { return v * 2; }),
-             FarmOptions{.replicas = 3, .ordered = true}, "f2");
+             3, "f2");
   p.add_stage(make_sink<int>([&](int v) { got.push_back(v); }), "sink");
   ASSERT_TRUE(p.run_and_wait().ok());
   ASSERT_EQ(got.size(), 1000u);
@@ -795,7 +556,7 @@ TEST(FarmTest, WorkerExceptionAborts) {
                if (v == 123) throw std::runtime_error("worker died");
                return v;
              }),
-             FarmOptions{.replicas = 4, .ordered = true}, "dying");
+             4, "dying");
   p.add_stage(make_sink<int>([](int) {}), "sink");
   Status s = p.run_and_wait();
   ASSERT_FALSE(s.ok());
@@ -814,7 +575,7 @@ TEST(FarmTest, AbortUnderBackpressureDoesNotDeadlock) {
                if (v == 5000) throw std::runtime_error("late failure");
                return v;
              }),
-             FarmOptions{.replicas = 3, .ordered = true}, "farm");
+             3, "farm");
   p.add_stage(make_sink<int>([](int v) {
                 volatile int spin = 50;  // slow sink builds backpressure
                 while (spin > 0) { spin = spin - 1; }
@@ -845,7 +606,7 @@ TEST(FarmTest, ReplicaIdsAreDistinct) {
   Pipeline p;
   p.add_stage(counting_source(10), "src");
   p.add_farm([&] { return std::make_unique<IdRecorder>(&ids, &mu); },
-             FarmOptions{.replicas = 4}, "ids");
+             4, "ids");
   p.add_stage(make_sink<int>([](int) {}), "sink");
   ASSERT_TRUE(p.run_and_wait().ok());
   EXPECT_EQ(ids, (std::set<int>{0, 1, 2, 3}));
@@ -855,7 +616,7 @@ TEST(FarmTest, ThreadCountFormula) {
   Pipeline p;
   p.add_stage(counting_source(1), "src");
   p.add_farm(stage_factory<int, int>([](int v) { return v; }),
-             FarmOptions{.replicas = 5}, "farm");
+             5, "farm");
   p.add_stage(make_sink<int>([](int) {}), "sink");
   // source + sink + 5 workers + emitter + collector
   EXPECT_EQ(p.thread_count(), 9);
@@ -874,7 +635,7 @@ TEST_P(OrderedFarmSweep, PreservesOrder) {
   std::vector<int> got;
   p.add_stage(counting_source(1200), "src");
   p.add_farm(stage_factory<int, int>([](int v) { return v; }),
-             FarmOptions{.replicas = replicas, .ordered = true}, "id");
+             replicas, "id");
   p.add_stage(make_sink<int>([&](int v) { got.push_back(v); }), "sink");
   ASSERT_TRUE(p.run_and_wait().ok());
   ASSERT_EQ(got.size(), 1200u);
@@ -890,13 +651,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- failure paths & watchdog -----------------------------------------------------
 
-/// A farm worker throwing mid-stream must drain and return an error under
-/// every wait mode: no deadlock, no lost end-of-stream sentinel.
-class FarmFailureSweep : public ::testing::TestWithParam<WaitMode> {};
-
-TEST_P(FarmFailureSweep, ThrowingWorkerDrainsAndErrors) {
+/// A farm worker throwing mid-stream must drain and return an error: no
+/// deadlock, no lost end-of-stream sentinel.
+TEST(FarmTest, ThrowingWorkerDrainsAndErrors) {
   PipelineOptions opts;
-  opts.wait_mode = GetParam();
   opts.queue_capacity = 8;
   Pipeline p(opts);
   std::atomic<int> sunk{0};
@@ -905,7 +663,7 @@ TEST_P(FarmFailureSweep, ThrowingWorkerDrainsAndErrors) {
                if (v == 777) throw std::runtime_error("mid-stream failure");
                return v;
              }),
-             FarmOptions{.replicas = 4, .ordered = true}, "farm");
+             4, "farm");
   p.add_stage(make_sink<int>([&](int) { sunk.fetch_add(1); }), "sink");
   Status s = p.run_and_wait();  // must return, not hang
   ASSERT_FALSE(s.ok());
@@ -916,10 +674,6 @@ TEST_P(FarmFailureSweep, ThrowingWorkerDrainsAndErrors) {
   EXPECT_NE(p.failure_report().failures.front().stage.find("farm"),
             std::string::npos);
 }
-
-INSTANTIATE_TEST_SUITE_P(AllWaitModes, FarmFailureSweep,
-                         ::testing::Values(WaitMode::kBackoff,
-                                           WaitMode::kBlocking));
 
 TEST(FailureReportTest, RecordsEveryFailingStage) {
   Pipeline p;
@@ -1037,91 +791,6 @@ TEST(WatchdogTest, DisabledByDefault) {
   p.add_stage(make_sink<int>([&](int v) { got.push_back(v); }), "sink");
   ASSERT_TRUE(p.run_and_wait().ok());
   EXPECT_EQ(got.size(), 10u);
-}
-
-// ---- deadline budgets --------------------------------------------------------
-
-namespace {
-
-/// Source emitting `n` ints; odd indices carry an already-expired deadline,
-/// even indices a far-future one.
-class DeadlineSource final : public Node {
- public:
-  explicit DeadlineSource(int n) : n_(n) {}
-  SvcResult svc(Item) override {
-    if (i_ >= n_) return SvcResult::Eos();
-    Item item = Item::of<int>(i_);
-    const std::uint64_t now = deadline_clock_now();
-    item.set_deadline_ns(i_ % 2 == 1 ? now - 1
-                                     : now + 60ull * 1000 * 1000 * 1000);
-    ++i_;
-    return SvcResult::Out(std::move(item));
-  }
-
- private:
-  int i_ = 0;
-  int n_;
-};
-
-}  // namespace
-
-TEST(DeadlineTest, ExpiredItemsSkipStagesButReachTheSink) {
-  telemetry::Registry reg;
-  PipelineOptions opts;
-  opts.telemetry.registry = &reg;
-  opts.telemetry.prefix = "dl";
-  Pipeline p(opts);
-  std::atomic<int> serviced{0};
-  std::vector<std::pair<int, bool>> got;  // (value, expired-at-sink)
-  p.add_stage(std::make_unique<DeadlineSource>(10), "src");
-  p.add_farm(
-      [&serviced] {
-        return make_stage<int, int>([&serviced](int v) -> int {
-          ++serviced;
-          return v;
-        });
-      },
-      FarmOptions{.replicas = 2, .ordered = true}, "work");
-  // Raw-node sink so the deadline flag is observable per item.
-  class FlagSink final : public Node {
-   public:
-    explicit FlagSink(std::vector<std::pair<int, bool>>* out) : out_(out) {}
-    SvcResult svc(Item in) override {
-      out_->emplace_back(in.as<int>(), in.deadline_expired());
-      return SvcResult::GoOn();
-    }
-   private:
-    std::vector<std::pair<int, bool>>* out_;
-  };
-  p.add_stage(std::make_unique<FlagSink>(&got), "sink");
-  ASSERT_TRUE(p.run_and_wait().ok());
-
-  // Every item reached the sink, in order (expired ones still hold their
-  // sequence slot in the ordered farm).
-  ASSERT_EQ(got.size(), 10u);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(got[static_cast<std::size_t>(i)].first, i);
-    EXPECT_EQ(got[static_cast<std::size_t>(i)].second, i % 2 == 1)
-        << "item " << i;
-  }
-  // The workers never serviced the expired half, and the drops were counted
-  // exactly once each.
-  EXPECT_EQ(serviced.load(), 5);
-  auto snap = reg.snapshot();
-  ASSERT_NE(snap.find_counter("dl.deadline_drops"), nullptr);
-  EXPECT_EQ(snap.find_counter("dl.deadline_drops")->value, 5u);
-}
-
-TEST(DeadlineTest, UnarmedItemsAreNeverDropped) {
-  Pipeline p;
-  std::vector<int> got;
-  p.add_stage(counting_source(50), "src");
-  p.add_stage(make_stage<int, int>([](int v) { return v + 1; }), "inc");
-  p.add_stage(make_sink<int>([&](int v) { got.push_back(v); }), "sink");
-  ASSERT_TRUE(p.run_and_wait().ok());
-  ASSERT_EQ(got.size(), 50u);
-  EXPECT_EQ(got.front(), 1);
-  EXPECT_EQ(got.back(), 50);
 }
 
 }  // namespace

@@ -669,7 +669,7 @@ TEST(PipelineIntegrationTest, FlowPipelineReportsMetricsAndSpans) {
                      }),
                  "src");
   pipe.add_farm(flow::stage_factory<int, int>([](int v) { return v * 2; }),
-                flow::FarmOptions{.replicas = 2, .ordered = true}, "work");
+                2, "work");
   long long sum = 0;
   pipe.add_stage(flow::make_sink<int>([&sum](int v) { sum += v; }), "sink");
   ASSERT_TRUE(pipe.run_and_wait().ok());
