@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -389,6 +390,23 @@ TEST(PipelineTest, SmallQueueCapacityStillCorrect) {
   for (int i = 0; i < 5000; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], i + 1);
 }
 
+/// Every channel parks on its condition variable when it is full or empty;
+/// an ordered farm between 4-slot queues parks on both sides.
+TEST(PipelineTest, BlockingWaitModeWorks) {
+  PipelineOptions opts;
+  opts.queue_capacity = 4;  // force both full and empty waits
+  Pipeline p(opts);
+  std::vector<int> got;
+  p.add_stage(counting_source(3000), "src");
+  p.add_farm(stage_factory<int, int>([](int v) { return v + 1; }), 3, "farm");
+  p.add_stage(make_sink<int>([&](int v) { got.push_back(v); }), "sink");
+  ASSERT_TRUE(p.run_and_wait().ok());
+  ASSERT_EQ(got.size(), 3000u);
+  for (int i = 0; i < 3000; ++i) {
+    EXPECT_EQ(got[static_cast<std::size_t>(i)], i + 1);
+  }
+}
+
 TEST(PipelineTest, SourceEmitMultiplePerSvc) {
   // A source can emit() several items then return GoOn/Eos.
   class BurstSource final : public Node {
@@ -651,16 +669,32 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- failure paths & watchdog -----------------------------------------------------
 
-/// A farm worker throwing mid-stream must drain and return an error: no
-/// deadlock, no lost end-of-stream sentinel.
-TEST(FarmTest, ThrowingWorkerDrainsAndErrors) {
+/// Where the other threads wait when a farm worker throws: the failure has
+/// to wake producers parked on full channels and consumers parked on empty
+/// ones.
+enum class ParkedOn : std::uint8_t {
+  kFullChannels,   // 2-slot queues, throw at item 777: the source runs ahead
+                   // and parks on a full channel
+  kEmptyChannels,  // throw at item 0: the ordered collector holds every later
+                   // item back, so the sink waits on an empty channel
+};
+
+/// A farm worker throwing must drain and return an error wherever the other
+/// threads are parked: no deadlock, no lost end-of-stream sentinel.
+class FarmFailureSweep : public ::testing::TestWithParam<ParkedOn> {};
+
+TEST_P(FarmFailureSweep, ThrowingWorkerDrainsAndErrors) {
+  const bool full = GetParam() == ParkedOn::kFullChannels;
+  const int throw_at = full ? 777 : 0;
   PipelineOptions opts;
-  opts.queue_capacity = 8;
+  opts.queue_capacity = full ? 2 : 8;
   Pipeline p(opts);
   std::atomic<int> sunk{0};
   p.add_stage(counting_source(20000), "src");
-  p.add_farm(stage_factory<int, int>([](int v) -> int {
-               if (v == 777) throw std::runtime_error("mid-stream failure");
+  p.add_farm(stage_factory<int, int>([throw_at](int v) -> int {
+               if (v == throw_at) {
+                 throw std::runtime_error("mid-stream failure");
+               }
                return v;
              }),
              4, "farm");
@@ -674,6 +708,11 @@ TEST(FarmTest, ThrowingWorkerDrainsAndErrors) {
   EXPECT_NE(p.failure_report().failures.front().stage.find("farm"),
             std::string::npos);
 }
+
+// The instantiation's name covers every place a channel wait parks.
+INSTANTIATE_TEST_SUITE_P(AllWaitModes, FarmFailureSweep,
+                         ::testing::Values(ParkedOn::kFullChannels,
+                                           ParkedOn::kEmptyChannels));
 
 TEST(FailureReportTest, RecordsEveryFailingStage) {
   Pipeline p;
